@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 import protometric as pm
-from protometric.model import head_logits
 
 TAXONOMY = ("A\troot\nB\troot\nA1\tA\nA2\tA\nB1\tB\nB2\tB\n"
             "a1x\tA1\na1y\tA1\na2x\tA2\na2y\tA2\n"
@@ -44,15 +43,9 @@ def run_arm(tax, metric, head, lam, regularizer, seed, args):
                             epochs=args.epochs, batch_size=64)
     result = pm.train(train_set, tax, metric, config, rng)
 
-    E = pm.forward(result.model, test_set.features)
-    if head == "prototypes":
-        P = pm.posterior(E, result.prototypes.coords, config.distance)
-    else:
-        logits = head_logits(result.head, E)
-        logits -= logits.max(axis=1, keepdims=True)
-        P = np.exp(logits)
-        P /= P.sum(axis=1, keepdims=True)
-    preds = P.argmax(axis=1)
+    ckpt = pm.Checkpoint(model=result.model, prototypes=result.prototypes,
+                         distance=config.distance, taxonomy=tax, head=result.head)
+    preds, _, _, _ = pm.predict(ckpt, test_set.features, "max-prob")
     er = float(np.mean(preds != test_set.labels))
     ac = float(np.mean(metric.costs[preds, test_set.labels]))
     sfd = pm.scale_free_distortion(result.prototypes, metric, config.distance)

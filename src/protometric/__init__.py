@@ -15,7 +15,7 @@ from .evaluation import EvalReport, PairDelta, compare, evaluate
 from .geometry import (DistanceSpec, NonDifferentiableError, distance,
                        distance_gradient, pairwise_distances)
 from .inference import (Prediction, PrototypeIndex, build_index, expected_costs,
-                        predict_any_node, predict_max_prob,
+                        predict, predict_any_node, predict_max_prob,
                         predict_min_expected_cost)
 from .model import (Checkpoint, EmbeddingModel, LinearHead, LossBreakdown,
                     TrainConfig, TrainHistory, TrainingDivergedError, TrainResult,

@@ -110,48 +110,6 @@ def _prototypes_csv(pi, tax) -> str:
     return buf.getvalue()
 
 
-def _posterior_matrix(ckpt, tax, X):
-    """Leaf posterior rows for a feature batch under any checkpoint head."""
-    import numpy as np
-
-    from .model import forward, head_logits, leaf_prototype_rows, posterior
-
-    E = forward(ckpt.model, X)
-    if ckpt.head is not None:
-        logits = head_logits(ckpt.head, E)
-        logits = logits - logits.max(axis=1, keepdims=True)
-        P = np.exp(logits)
-        P /= P.sum(axis=1, keepdims=True)
-        return P, E
-    rows = leaf_prototype_rows(tax, ckpt.prototypes.class_map)
-    return posterior(E, ckpt.prototypes.coords[rows], ckpt.distance), E
-
-
-def _scheme_predictions(ckpt, tax, X, scheme: str):
-    """(pred_indices, eval_metric, leaf_label_map, leaf_mask, posterior, EC table)."""
-    import numpy as np
-
-    from .taxonomy import cost_matrix
-
-    P, _ = _posterior_matrix(ckpt, tax, X)
-    metric_leaves = cost_matrix(tax, "leaves-only")
-    if scheme == "max-prob":
-        preds = np.argmax(P, axis=1)
-        ec = P @ metric_leaves.costs.T  # informational: EC of each leaf
-        return preds, metric_leaves, None, None, P, ec
-    if scheme == "min-ec":
-        ec = P @ metric_leaves.costs.T
-        preds = np.argmin(ec, axis=1)
-        return preds, metric_leaves, None, None, P, ec
-    metric_all = cost_matrix(tax, "all-nodes")
-    leaf_cols = [metric_all.class_names.index(n) for n in tax.leaf_names]
-    ec = P @ metric_all.costs[:, leaf_cols].T
-    preds = np.argmin(ec, axis=1)
-    label_map = np.array(tax.leaf_ids, dtype=np.intp)
-    leaf_mask = np.array([tax.is_leaf(i) for i in range(tax.n_nodes)])
-    return preds, metric_all, label_map, leaf_mask, P, ec
-
-
 def _leaf_prototype_set(ckpt, tax):
     from .model import leaf_prototype_rows
 
@@ -398,20 +356,24 @@ def _stand_in_prototypes(ckpt, tax, dataset):
 def _evaluate_checkpoint(ckpt, tax, dataset, scheme: str):
     import dataclasses
 
+    import numpy as np
+
     from .distortion import distortion_report
     from .evaluation import evaluate
+    from .inference import predict
     from .taxonomy import cost_matrix
 
-    preds, metric, label_map, leaf_mask, _, _ = _scheme_predictions(
-        ckpt, tax, dataset.features, scheme)
-    labels = dataset.labels if label_map is None else label_map[dataset.labels]
+    preds, metric, _, _ = predict(dataclasses.replace(ckpt, taxonomy=tax),
+                                  dataset.features, scheme)
     leaf_pi = _stand_in_prototypes(ckpt, tax, dataset)
-    metric_leaves = cost_matrix(tax, "leaves-only")
     if scheme == "any-node":
+        labels = np.array(tax.leaf_ids, dtype=np.intp)[dataset.labels]
+        leaf_mask = np.array([tax.is_leaf(i) for i in range(tax.n_nodes)])
         report = evaluate(preds, labels, metric, leaf_mask=leaf_mask)
-        disto = distortion_report(leaf_pi, metric_leaves, ckpt.distance)
+        disto = distortion_report(leaf_pi, cost_matrix(tax, "leaves-only"),
+                                  ckpt.distance)
         return dataclasses.replace(report, distortion=disto)
-    return evaluate(preds, labels, metric, pi=leaf_pi, spec=ckpt.distance)
+    return evaluate(preds, dataset.labels, metric, pi=leaf_pi, spec=ckpt.distance)
 
 
 def _aggregate_reports(per_seed: list[dict], how: str) -> dict:
@@ -480,8 +442,8 @@ def _read_features_csv(path: str):
 def cmd_infer(args) -> int:
     import numpy as np
 
-    from .inference import PrototypeIndex
-    from .model import forward, load_checkpoint
+    from .inference import predict
+    from .model import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
     tax = ckpt.taxonomy
@@ -491,16 +453,7 @@ def cmd_infer(args) -> int:
         raise ValueError(f"feature dimension {X.shape[1]} does not match the "
                          f"model input dimension {ckpt.model.input_dim}")
 
-    preds, metric, label_map, _, P, ec_table = _scheme_predictions(
-        ckpt, tax, X, args.scheme)
-    if args.scheme == "max-prob" and args.index is not None:
-        # Same answer by construction; the flag only selects the search path.
-        leaf_pi = _leaf_prototype_set(ckpt, tax)
-        index = PrototypeIndex(leaf_pi.coords)
-        E = forward(ckpt.model, X)
-        query = index.query if args.index == "kd" else index.query_exhaustive
-        preds = np.array([query(e)[0] for e in E], dtype=np.intp)
-
+    preds, metric, P, ec_table = predict(ckpt, X, args.scheme)
     names = metric.class_names
     leaf_names = tax.leaf_names
     buf = io.StringIO()
@@ -611,8 +564,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("features")
     p.add_argument("--scheme", choices=SCHEMES, default="max-prob")
-    p.add_argument("--index", choices=("kd", "scan"), default=None,
-                   help="nearest-prototype search path for max-prob")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_infer)
 

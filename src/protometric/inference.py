@@ -1,9 +1,14 @@
-"""Cost-aware prediction schemes over trained prototypes.
+"""Cost-aware prediction schemes over trained prototypes or a linear head.
 
-Nearest-prototype lookup goes through an exact KD-tree (bucket size 8,
-ties broken towards the lowest prototype index). All supported distance
-kinds are strictly increasing in the Euclidean norm, so the Euclidean tree
-answers nearest-prototype queries for every kind.
+`predict` classifies a feature batch from a checkpoint: one forward pass,
+the leaf posterior (softmin of prototype distances, or softmax of the head
+logits), then the scheme's decision over the cost matrix. The single-sample
+`predict_*` functions run the same decision code on one embedding.
+
+Nearest-prototype lookup is an exact scan, ties broken towards the lowest
+prototype index. All supported distance kinds are strictly increasing in
+the Euclidean norm, so the Euclidean nearest prototype is the nearest under
+every kind.
 """
 
 from __future__ import annotations
@@ -12,56 +17,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# forward, posterior and cost_matrix are looked up through their home modules
+# at call time, so that instrumentation rebinding them there sees every call.
+from . import geometry, model, taxonomy
 from .distortion import PrototypeSet
 from .geometry import DistanceSpec
-from .model import posterior
 from .taxonomy import FiniteMetric, Taxonomy
 
-
-@dataclass
-class _Leaf:
-    indices: np.ndarray
-
-
-@dataclass
-class _Split:
-    axis: int
-    threshold: float
-    left: object
-    right: object
+SCHEMES = ("max-prob", "min-ec", "any-node")
 
 
 class PrototypeIndex:
-    """Exact nearest-neighbour index over a snapshot of prototype rows.
+    """Exact nearest-neighbour lookup over a snapshot of prototype rows.
 
     Immutable after construction; rebuild after prototype updates. Queries
     return the lowest index among exactly tied candidates.
     """
 
-    def __init__(self, coords: np.ndarray, leaf_size: int = 8):
+    def __init__(self, coords: np.ndarray):
         coords = np.array(coords, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[0] < 1:
             raise ValueError("index needs a non-empty (K, m) coordinate matrix")
         if not np.all(np.isfinite(coords)):
             raise ValueError("prototype coordinates must be finite")
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
         self.coords = coords
-        self.leaf_size = leaf_size
-        self._root = self._build(np.arange(coords.shape[0]))
-
-    def _build(self, indices: np.ndarray):
-        if indices.size <= self.leaf_size:
-            return _Leaf(indices)
-        pts = self.coords[indices]
-        spread = pts.max(axis=0) - pts.min(axis=0)
-        axis = int(np.argmax(spread))
-        order = np.argsort(pts[:, axis], kind="stable")
-        mid = indices.size // 2
-        threshold = float(pts[order[mid], axis])
-        return _Split(axis, threshold,
-                      self._build(indices[order[:mid]]),
-                      self._build(indices[order[mid:]]))
 
     def query(self, x) -> tuple[int, float]:
         """(index, Euclidean distance) of the exact nearest prototype."""
@@ -69,27 +48,9 @@ class PrototypeIndex:
         if x.shape != (self.coords.shape[1],):
             raise ValueError(f"query dimension {x.shape} does not match index "
                              f"dimension ({self.coords.shape[1]},)")
-        best = [np.inf, -1]
-
-        def visit(node):
-            if isinstance(node, _Leaf):
-                diffs = self.coords[node.indices] - x
-                sq = np.einsum("ij,ij->i", diffs, diffs)
-                for d2, idx in zip(sq, node.indices):
-                    if d2 < best[0] or (d2 == best[0] and idx < best[1]):
-                        best[0] = d2
-                        best[1] = int(idx)
-                return
-            gap = x[node.axis] - node.threshold
-            near, far = (node.left, node.right) if gap < 0 else (node.right, node.left)
-            visit(near)
-            # Equal-distance candidates across the plane must stay reachable
-            # for the lowest-index tie rule, hence <= rather than <.
-            if gap * gap <= best[0]:
-                visit(far)
-
-        visit(self._root)
-        return best[1], float(np.sqrt(best[0]))
+        sq = geometry.pairwise_sqnorms(x[None, :], self.coords)[0]
+        idx = int(np.argmin(sq))  # argmin takes the first (lowest) index on ties
+        return idx, float(np.sqrt(sq[idx]))
 
     def query_exhaustive(self, x) -> tuple[int, float]:
         """Linear-scan reference with the same tie rule."""
@@ -100,8 +61,54 @@ class PrototypeIndex:
         return idx, float(np.sqrt(sq[idx]))
 
 
-def build_index(pi: PrototypeSet, leaf_size: int = 8) -> PrototypeIndex:
-    return PrototypeIndex(pi.coords, leaf_size=leaf_size)
+def build_index(pi: PrototypeSet) -> PrototypeIndex:
+    return PrototypeIndex(pi.coords)
+
+
+def _any_node_costs(metric_all: FiniteMetric, tax: Taxonomy) -> np.ndarray:
+    """All-nodes cost rows restricted to the leaf columns, in leaf order."""
+    leaf_cols = [metric_all.class_names.index(name) for name in tax.leaf_names]
+    return metric_all.costs[:, leaf_cols]
+
+
+def _decide(P: np.ndarray, costs: np.ndarray | None, scheme: str):
+    """(candidate indices, EC table) of a scheme over posterior rows P.
+
+    EC[i, k] = sum_l P[i, l] * costs[k, l]. max-prob takes the posterior
+    argmax and reports the table for information only (None without costs);
+    the other schemes take the EC argmin. Ties go to the lowest index.
+    """
+    ec = None if costs is None else P @ costs.T
+    if scheme == "max-prob":
+        return np.argmax(P, axis=1), ec
+    return np.argmin(ec, axis=1), ec
+
+
+def predict(ckpt: model.Checkpoint, X, scheme: str):
+    """Batch prediction from a checkpoint: (preds, metric, P, EC).
+
+    `preds` index `metric.class_names`: the leaves-only cost matrix for
+    max-prob and min-ec, the all-nodes one for any-node. `P` is the (n, K)
+    leaf posterior in taxonomy leaf order and `EC` the (n, |candidates|)
+    expected-cost table.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme '{scheme}'")
+    tax = ckpt.taxonomy
+    E = model.forward(ckpt.model, X)
+    if ckpt.head is not None:
+        P = model.softmax(model.head_logits(ckpt.head, E))
+    else:
+        rows = model.leaf_prototype_rows(tax, ckpt.prototypes.class_map)
+        P = model.posterior(E, ckpt.prototypes.coords[rows], ckpt.distance)
+    if scheme == "any-node":
+        metric = taxonomy.cost_matrix(tax, "all-nodes")
+        costs = _any_node_costs(metric, tax)
+    else:
+        metric = taxonomy.cost_matrix(tax, "leaves-only")
+        costs = metric.costs
+    preds, ec = _decide(P, costs, scheme)
+    return preds, metric, P, ec
 
 
 @dataclass(frozen=True)
@@ -113,12 +120,28 @@ class Prediction:
     expected_costs: np.ndarray | None = None  # over the candidate set
 
 
+def _predict_one(e, pi: PrototypeSet, spec: DistanceSpec,
+                 costs: np.ndarray | None, scheme: str):
+    """(index, posterior, EC) of one embedding through the batch code."""
+    e = np.asarray(e, dtype=np.float64)
+    if e.shape != (pi.dim,):
+        raise ValueError(f"embedding dimension {e.shape} does not match "
+                         f"prototype dimension ({pi.dim},)")
+    P = model.posterior(e[None, :], pi.coords, spec)
+    preds, ec = _decide(P, costs, scheme)
+    return int(preds[0]), P[0], None if ec is None else ec[0]
+
+
 def predict_max_prob(e, index: PrototypeIndex, pi: PrototypeSet,
                      spec: DistanceSpec) -> Prediction:
-    """Class of the nearest prototype == argmax of the posterior."""
-    idx, _ = index.query(e)
+    """Class of the nearest prototype == argmax of the posterior.
+
+    The posterior ranks the prototypes as a `PrototypeIndex` over `pi`
+    does, so the argmax is read off the posterior; `index` is not consulted.
+    """
+    idx, post, _ = _predict_one(e, pi, spec, None, "max-prob")
     return Prediction(node_id=pi.class_map[idx], index=idx, scheme="max-prob",
-                      posterior=posterior(e, pi.coords, spec))
+                      posterior=post)
 
 
 def expected_costs(post: np.ndarray, costs: np.ndarray) -> np.ndarray:
@@ -136,9 +159,7 @@ def predict_min_expected_cost(e, pi: PrototypeSet, spec: DistanceSpec,
     """Leaf minimizing the expected cost under the posterior (ties: lowest index)."""
     if metric.size != pi.size:
         raise ValueError("leaf metric size does not match prototype count")
-    post = posterior(e, pi.coords, spec)
-    ec = expected_costs(post, metric.costs)
-    idx = int(np.argmin(ec))
+    idx, post, ec = _predict_one(e, pi, spec, metric.costs, "min-ec")
     return Prediction(node_id=pi.class_map[idx], index=idx,
                       scheme="min-expected-cost", posterior=post,
                       expected_costs=ec)
@@ -156,9 +177,7 @@ def predict_any_node(e, pi: PrototypeSet, spec: DistanceSpec,
         raise ValueError("all-nodes metric does not match the taxonomy")
     if pi.size != len(tax.leaf_ids):
         raise ValueError("prototype set must cover exactly the taxonomy leaves")
-    leaf_cols = [metric_all.class_names.index(name) for name in tax.leaf_names]
-    post = posterior(e, pi.coords, spec)
-    ec = expected_costs(post, metric_all.costs[:, leaf_cols])
-    idx = int(np.argmin(ec))
+    idx, post, ec = _predict_one(e, pi, spec, _any_node_costs(metric_all, tax),
+                                 "any-node")
     return Prediction(node_id=idx, index=idx, scheme="any-node",
                       posterior=post, expected_costs=ec)

@@ -198,6 +198,13 @@ def _backward(model: EmbeddingModel, cache, dE: np.ndarray) -> np.ndarray:
 # Losses
 # ---------------------------------------------------------------------------
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of (n, k) logits, max-shifted for stability."""
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def posterior(e, proto_coords: np.ndarray, spec: DistanceSpec) -> np.ndarray:
     """Softmin of distances to the leaf prototypes, max-shifted for stability.
 
@@ -207,11 +214,7 @@ def posterior(e, proto_coords: np.ndarray, spec: DistanceSpec) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
     single = e.ndim == 1
     E = e[None, :] if single else e
-    d = dist_from_sqnorm(spec, pairwise_sqnorms(E, proto_coords))
-    logits = -d
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
+    p = softmax(-dist_from_sqnorm(spec, pairwise_sqnorms(E, proto_coords)))
     return p[0] if single else p
 
 
@@ -322,6 +325,9 @@ class TrainConfig:
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
         base = TrainConfig()
+        hidden = d.get("hidden", base.hidden)
+        if not isinstance(hidden, (list, tuple)):
+            raise ValueError(f"hidden must be a list of layer widths, got {hidden!r}")
         return TrainConfig(
             lam=float(d.get("lambda", base.lam)),
             regularizer=d.get("regularizer", base.regularizer),
@@ -337,7 +343,7 @@ class TrainConfig:
             seed=int(d.get("seed", base.seed)),
             triplet_count=int(d.get("triplet_count", base.triplet_count)),
             architecture=d.get("architecture", base.architecture),
-            hidden=tuple(d.get("hidden", base.hidden)),
+            hidden=tuple(hidden),
             activation=d.get("activation", base.activation),
         )
 
@@ -707,7 +713,7 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
     proto = payload["prototypes"]
-    return Checkpoint(
+    ckpt = Checkpoint(
         model=EmbeddingModel.from_dict(payload["model"]),
         prototypes=PrototypeSet(np.asarray(proto["coords"], dtype=np.float64),
                                 tuple(proto["class_map"]),
@@ -716,3 +722,28 @@ def load_checkpoint(path) -> Checkpoint:
         taxonomy=Taxonomy.from_dict(payload["taxonomy"]),
         head=None if payload.get("head") is None else LinearHead.from_dict(payload["head"]),
     )
+    _validate_checkpoint(ckpt)
+    return ckpt
+
+
+def _validate_checkpoint(ckpt: Checkpoint) -> None:
+    """Cross-check the parts of a loaded checkpoint against each other.
+
+    Posterior columns follow the taxonomy's leaf order, so the leaf entries
+    of the class map must be exactly the taxonomy leaves, in that order.
+    """
+    tax, pi, m = ckpt.taxonomy, ckpt.prototypes, ckpt.model.output_dim
+    bad = [nid for nid in pi.class_map if not 0 <= nid < tax.n_nodes]
+    if bad:
+        raise ValueError(f"prototype class_map id {bad[0]} is not a node of the "
+                         f"checkpoint taxonomy ({tax.n_nodes} nodes)")
+    if tuple(nid for nid in pi.class_map if tax.is_leaf(nid)) != tax.leaf_ids:
+        raise ValueError("prototype class_map leaves must be the taxonomy leaves "
+                         "in document order")
+    if pi.dim != m:
+        raise ValueError(f"prototype dimension {pi.dim} does not match the model "
+                         f"output dimension {m}")
+    head = ckpt.head
+    if head is not None and (head.n_classes, head.input_dim) != (len(tax.leaf_ids), m):
+        raise ValueError(f"head maps {head.input_dim} -> {head.n_classes} classes, "
+                         f"checkpoint needs {m} -> {len(tax.leaf_ids)}")

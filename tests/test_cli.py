@@ -6,6 +6,7 @@ import pytest
 
 import protometric as pm
 from protometric.cli import RunConfig, main
+from protometric.model import head_logits
 
 from conftest import TOY_EDGE_LIST
 
@@ -307,15 +308,23 @@ class TestCmdInfer:
         assert main(["infer", ckpt, feats, "--out", out2]) == 0
         assert open(out1).read() == open(out2).read()
 
-    def test_kd_and_scan_paths_agree(self, tmp_path, four_leaf_file):
-        ckpt = self._checkpoint(tmp_path, four_leaf_file)
-        rng = np.random.default_rng(1)
-        feats = self._features(tmp_path, rng.standard_normal((20, 4)).tolist())
-        out_kd = str(tmp_path / "kd.csv")
-        out_scan = str(tmp_path / "scan.csv")
-        assert main(["infer", ckpt, feats, "--index", "kd", "--out", out_kd]) == 0
-        assert main(["infer", ckpt, feats, "--index", "scan", "--out", out_scan]) == 0
-        assert open(out_kd).read() == open(out_scan).read()
+    def test_max_prob_on_head_checkpoint_is_head_argmax(self, tmp_path,
+                                                          four_leaf_file):
+        data = synth_csv(tmp_path, four_leaf_file, per_class=20)
+        out_dir = str(tmp_path / "xe")
+        config = write_config(tmp_path, four_leaf_file, data, out_dir,
+                              train={"epochs": 15, "head": "cross-entropy"})
+        assert main(["train", config]) == 0
+        ckpt_path = os.path.join(out_dir, "checkpoint_seed0.json")
+        X = np.random.default_rng(1).standard_normal((40, 4)) * 2
+        out = str(tmp_path / "xe.csv")
+        assert main(["infer", ckpt_path, self._features(tmp_path, X.tolist()),
+                     "--out", out]) == 0
+        ckpt = pm.load_checkpoint(ckpt_path)
+        logits = head_logits(ckpt.head, pm.forward(ckpt.model, X))
+        expected = [ckpt.taxonomy.leaf_names[k] for k in np.argmax(logits, axis=1)]
+        rows = open(out).read().strip().split("\n")[1:]
+        assert [row.split(",")[2] for row in rows] == expected
 
     def test_any_node_scheme_can_return_internal(self, tmp_path, four_leaf_file):
         ckpt = self._checkpoint(tmp_path, four_leaf_file)
@@ -333,6 +342,41 @@ class TestCmdInfer:
         out = str(tmp_path / "ids.csv")
         assert main(["infer", ckpt, str(path), "--out", out]) == 0
         assert open(out).read().strip().split("\n")[1].startswith("sample-42,")
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda p: p["prototypes"]["class_map"].__setitem__(0, 999),
+                     id="class-map-id-too-large"),
+        pytest.param(lambda p: p["prototypes"]["class_map"].__setitem__(-1, -1),
+                     id="class-map-id-negative"),
+        pytest.param(lambda p: p["prototypes"]["class_map"].reverse(),
+                     id="class-map-leaves-reordered"),
+        pytest.param(lambda p: [row.append(0.0) for row in p["prototypes"]["coords"]],
+                     id="prototype-dimension"),
+        pytest.param(lambda p: (p["head"].update(n_classes=5),
+                                p["head"]["params"].extend([0.0] * 4)),
+                     id="head-classes"),
+        pytest.param(lambda p: (p["head"].update(input_dim=4),
+                                p["head"]["params"].extend([0.0] * 4)),
+                     id="head-input-dimension"),
+    ])
+    def test_inconsistent_checkpoint_exits_2(self, tmp_path, capsys,
+                                             four_leaf_file, mutate):
+        rng = np.random.default_rng(2)
+        tax = pm.parse_taxonomy(FOUR_LEAF)
+        model = pm.init_embedding_model("linear", 4, 3, rng=rng)
+        stand_in = pm.PrototypeSet(rng.standard_normal((4, 3)), tax.leaf_ids)
+        head = pm.LinearHead(4, 3, rng.standard_normal(16))
+        path = tmp_path / "ckpt.json"
+        pm.save_checkpoint(path, model, stand_in, pm.DistanceSpec(), tax, head=head)
+        payload = json.loads(path.read_text())
+        mutate(payload)
+        path.write_text(json.dumps(payload))
+        feats = self._features(tmp_path, [[0.1, -0.2, 0.3, 0.4]])
+        capsys.readouterr()
+        assert main(["infer", str(path), feats,
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_dimension_mismatch_exits_2(self, tmp_path, four_leaf_file):
         ckpt = self._checkpoint(tmp_path, four_leaf_file)

@@ -4,6 +4,8 @@ import pytest
 import protometric as pm
 from protometric import DistanceSpec, PrototypeSet
 
+from conftest import random_taxonomy_with_leaves
+
 EUC = DistanceSpec("euclidean")
 
 
@@ -253,3 +255,28 @@ def test_kd_tree_consistent_for_monotone_kinds():
             kd_idx = index.query(e)[0]
             dists = [pm.distance(spec, e, coords[k]) for k in range(20)]
             assert kd_idx == int(np.argmin(dists))
+
+
+@pytest.mark.parametrize("scheme", ["max-prob", "min-ec", "any-node"])
+def test_batch_predict_matches_single_sample_functions(scheme):
+    rng = np.random.default_rng(12)
+    tax = random_taxonomy_with_leaves(7, rng)
+    spec = DistanceSpec("huber", 0.5)
+    model = pm.init_embedding_model("linear", 5, 3, rng=rng)
+    pi = PrototypeSet(rng.standard_normal((7, 3)), tax.leaf_ids)
+    ckpt = pm.Checkpoint(model=model, prototypes=pi, distance=spec, taxonomy=tax)
+    X = rng.standard_normal((200, 5)) * 2
+    preds, metric, P, ec = pm.predict(ckpt, X, scheme)
+    index = pm.build_index(pi)
+    for i, e in enumerate(pm.forward(model, X)):
+        if scheme == "max-prob":
+            one = pm.predict_max_prob(e, index, pi, spec)
+        elif scheme == "min-ec":
+            one = pm.predict_min_expected_cost(e, pi, spec, metric)
+        else:
+            one = pm.predict_any_node(e, pi, spec, metric, tax)
+        assert preds[i] == one.index
+        assert metric.class_names[preds[i]] == tax.names[one.node_id]
+        np.testing.assert_array_equal(P[i], one.posterior)
+        if one.expected_costs is not None:
+            np.testing.assert_allclose(ec[i], one.expected_costs, rtol=1e-12)

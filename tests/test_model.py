@@ -477,3 +477,5 @@ def test_train_config_roundtrip():
                          architecture="mlp", hidden=(16, 8), activation="relu")
     assert TrainConfig.from_dict(config.to_dict()) == config
     assert config.to_dict()["lambda"] == 0.5
+    with pytest.raises(ValueError, match="hidden"):
+        TrainConfig.from_dict({"hidden": "32"})  # not silently (3, 2)
