@@ -110,15 +110,6 @@ def _prototypes_csv(pi, tax) -> str:
     return buf.getvalue()
 
 
-def _leaf_prototype_set(ckpt, tax):
-    from .model import leaf_prototype_rows
-
-    rows = leaf_prototype_rows(tax, ckpt.prototypes.class_map)
-    if len(rows) == ckpt.prototypes.size:
-        return ckpt.prototypes
-    return ckpt.prototypes.subset(rows)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -133,69 +124,11 @@ def cmd_cost(args) -> int:
     return 0
 
 
-def _lm_refine(coords, costs, iters: int = 200):
-    """Levenberg-Marquardt polish of a Euclidean embedding fit.
-
-    Minimizes the relative pair residuals (d - D/s)/D with the scale folded
-    into the targets; first-order steps stall in the flat valleys of
-    exactly-embeddable metrics, LM does not.
-    """
-    import numpy as np
-
-    from .distortion import l2_scale
-
-    K, m = coords.shape
-    iu, ju = np.triu_indices(K, k=1)
-    t = costs[iu, ju]
-
-    def distances(c):
-        diff = c[iu] - c[ju]
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff)), diff
-
-    d0, _ = distances(coords)
-    target = t / l2_scale(d0, t)
-
-    def loss(c):
-        d, _ = distances(c)
-        r = (d - target) / t
-        return 0.5 * float(r @ r), r, d
-
-    val, r, d = loss(coords)
-    lam = 1e-3
-    for _ in range(iters):
-        _, diff = distances(coords)
-        unit = diff / np.maximum(d[:, None], 1e-300)
-        J = np.zeros((t.size, K * m))
-        for p in range(t.size):
-            J[p, iu[p] * m:(iu[p] + 1) * m] = unit[p] / t[p]
-            J[p, ju[p] * m:(ju[p] + 1) * m] = -unit[p] / t[p]
-        g = J.T @ r
-        H = J.T @ J
-        accepted = False
-        while lam <= 1e14:
-            try:
-                delta = np.linalg.solve(H + lam * np.eye(K * m), -g)
-            except np.linalg.LinAlgError:
-                lam *= 3.0
-                continue
-            cand = coords + delta.reshape(K, m)
-            v2, r2, d2 = loss(cand)
-            if v2 < val:
-                coords, val, r, d = cand, v2, r2, d2
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                break
-            lam *= 3.0
-        if not accepted or val < 1e-30:
-            break
-    return coords
-
-
 def cmd_embed(args) -> int:
     import numpy as np
 
-    from .distortion import (PrototypeSet, disto_loss, distortion_report,
-                             rank_loss, sample_triplets)
+    from .distortion import (PrototypeSet, distortion_report, lm_refine,
+                             regularizer_loss)
     from .geometry import DistanceSpec
     from .optim import Adam
     from .taxonomy import cost_matrix
@@ -213,17 +146,12 @@ def cmd_embed(args) -> int:
     opt = Adam(lr=args.lr)
     for step in range(args.steps):
         opt.lr = args.lr * (1.0 - step / args.steps)  # decay to 0 for a tight fit
-        pi = PrototypeSet(coords, node_ids)
-        if args.regularizer == "rank":
-            batch = sample_triplets(K, args.triplets, rng, exhaustive=exhaustive)
-            _, grads = rank_loss(pi, metric, spec, batch)
-        else:
-            _, _, grads = disto_loss(pi, metric, spec)
+        _, _, grads = regularizer_loss(args.regularizer, PrototypeSet(coords, node_ids),
+                                       metric, spec, rng, args.triplets, exhaustive)
         opt.step({"proto": coords}, {"proto": grads})
-    if args.regularizer == "disto" and spec.kind == "euclidean":
-        coords = _lm_refine(coords, metric.costs)
-
     pi = PrototypeSet(coords, node_ids)
+    if args.regularizer == "disto" and spec.kind == "euclidean":
+        pi = lm_refine(pi, metric)
     report = distortion_report(pi, metric, spec)
     out = args.out
     _write_text(os.path.join(out, "prototypes.csv"), _prototypes_csv(pi, tax))
@@ -330,29 +258,6 @@ def _embeddings_csv(ckpt, dataset) -> str:
     return buf.getvalue()
 
 
-def _stand_in_prototypes(ckpt, tax, dataset):
-    """Prototype set used for distortion diagnostics.
-
-    Prototype heads report on their actual prototypes. Baseline heads have
-    none, so class means of the evaluated embeddings stand in; if some class
-    is absent from the data, the checkpointed training means are kept.
-    """
-    import numpy as np
-
-    from .distortion import PrototypeSet
-    from .model import forward
-
-    if ckpt.head is None:
-        return _leaf_prototype_set(ckpt, tax)
-    labels = dataset.labels
-    if set(np.unique(labels)) != set(range(len(tax.leaf_ids))):
-        return _leaf_prototype_set(ckpt, tax)
-    E = forward(ckpt.model, dataset.features)
-    means = np.stack([E[labels == k].mean(axis=0)
-                      for k in range(len(tax.leaf_ids))])
-    return PrototypeSet(means, tax.leaf_ids)
-
-
 def _evaluate_checkpoint(ckpt, tax, dataset, scheme: str):
     import dataclasses
 
@@ -361,11 +266,17 @@ def _evaluate_checkpoint(ckpt, tax, dataset, scheme: str):
     from .distortion import distortion_report
     from .evaluation import evaluate
     from .inference import predict
+    from .model import class_mean_prototypes, leaf_prototype_rows
     from .taxonomy import cost_matrix
 
     preds, metric, _, _ = predict(dataclasses.replace(ckpt, taxonomy=tax),
                                   dataset.features, scheme)
-    leaf_pi = _stand_in_prototypes(ckpt, tax, dataset)
+    if ckpt.head is None:
+        leaf_pi = ckpt.prototypes.subset(leaf_prototype_rows(tax, ckpt.prototypes.class_map))
+    elif np.unique(dataset.labels).size < len(tax.leaf_ids):
+        leaf_pi = ckpt.prototypes  # a class is absent: keep the training means
+    else:
+        leaf_pi = class_mean_prototypes(ckpt.model, dataset, tax)
     if scheme == "any-node":
         labels = np.array(tax.leaf_ids, dtype=np.intp)[dataset.labels]
         leaf_mask = np.array([tax.is_leaf(i) for i in range(tax.n_nodes)])
@@ -403,6 +314,12 @@ def cmd_eval(args) -> int:
     tax = _read_taxonomy(args.taxonomy, args.format)
     if tax.leaf_names != ckpt.taxonomy.leaf_names:
         raise ValueError("taxonomy leaves do not match the checkpoint's classes")
+    if tax.names != ckpt.taxonomy.names:
+        # prototype class maps hold node ids, so the numbering must agree
+        here, there = tax.names + (None,), ckpt.taxonomy.names + (None,)
+        i = next(i for i, (a, b) in enumerate(zip(here, there)) if a != b)
+        raise ValueError(f"taxonomy node id {i} is {here[i]!r} but {there[i]!r} "
+                         "in the checkpoint")
     dataset = load_csv(args.dataset, args.label_column, tax)
     report = _evaluate_checkpoint(ckpt, tax, dataset, args.scheme)
     out = args.out

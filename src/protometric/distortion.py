@@ -125,11 +125,18 @@ def _pair_data(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec):
     return d, sq, costs, iu, ju
 
 
+def _mean_relative_deviation(d: np.ndarray, costs: np.ndarray, s: float = 1.0) -> float:
+    """Mean of |s*d - D| / D; over unordered pairs it equals the ordered-pair mean."""
+    return float(np.mean(np.abs(s * d - costs) / costs))
+
+
 def distortion(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec) -> float:
-    """Mean over ordered pairs of |d(pi_k, pi_l) - D[k,l]| / D[k,l]."""
+    """Mean over ordered pairs of |d(pi_k, pi_l) - D[k,l]| / D[k,l].
+
+    Fits no scale, so unlike s* it is defined on coincident prototypes.
+    """
     d, _, costs, _, _ = _pair_data(pi, metric, spec)
-    K = pi.size
-    return float(2.0 * np.sum(np.abs(d - costs) / costs) / (K * (K - 1)))
+    return _mean_relative_deviation(d, costs)
 
 
 def _l1_scale(alpha: np.ndarray) -> float:
@@ -153,16 +160,12 @@ def _l1_scale(alpha: np.ndarray) -> float:
 
 def optimal_scale_l1(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec) -> float:
     """Global minimizer s* of the scaled L1 distortion sum."""
-    d, _, costs, _, _ = _pair_data(pi, metric, spec)
-    return _l1_scale(d / costs)
+    return distortion_report(pi, metric, spec).s_star_l1
 
 
 def scale_free_distortion(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec) -> float:
     """Distortion with every pairwise distance multiplied by the optimal s*."""
-    d, _, costs, _, _ = _pair_data(pi, metric, spec)
-    s = _l1_scale(d / costs)
-    K = pi.size
-    return float(2.0 * np.sum(np.abs(s * d - costs) / costs) / (K * (K - 1)))
+    return distortion_report(pi, metric, spec).scale_free_distortion
 
 
 def l2_scale(distances: np.ndarray, costs: np.ndarray) -> float:
@@ -277,18 +280,96 @@ def rank_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
     return value, grads
 
 
+def regularizer_loss(kind: str, pi: PrototypeSet, metric: FiniteMetric,
+                     spec: DistanceSpec, rng: np.random.Generator | None = None,
+                     triplet_count: int = 10, exhaustive: bool = False):
+    """Value, fitted scale (None for "rank") and gradients of one regularizer.
+
+    `kind` is "disto", "disto-fixed-scale" or "rank"; "rank" draws its
+    triplets from `rng` (all of them when exhaustive).
+    """
+    if kind == "rank":
+        if rng is None:
+            raise ValueError("rank regularizer needs an rng for triplet sampling")
+        batch = sample_triplets(pi.size, triplet_count, rng, exhaustive=exhaustive)
+        value, grads = rank_loss(pi, metric, spec, batch)
+        return value, None, grads
+    if kind not in ("disto", "disto-fixed-scale"):
+        raise ValueError(f"unknown regularizer '{kind}'")
+    return disto_loss(pi, metric, spec, fixed_scale=kind == "disto-fixed-scale")
+
+
 def distortion_report(pi: PrototypeSet, metric: FiniteMetric,
                       spec: DistanceSpec) -> DistortionReport:
-    """Bundle the distortion diagnostics used in evaluation output."""
+    """All distortion diagnostics from one pass over the prototype pairs."""
     d, _, costs, _, _ = _pair_data(pi, metric, spec)
-    K = pi.size
     s1 = _l1_scale(d / costs)
-    plain = float(2.0 * np.sum(np.abs(d - costs) / costs) / (K * (K - 1)))
-    scale_free = float(2.0 * np.sum(np.abs(s1 * d - costs) / costs) / (K * (K - 1)))
     return DistortionReport(
-        distortion=plain,
-        scale_free_distortion=scale_free,
+        distortion=_mean_relative_deviation(d, costs),
+        scale_free_distortion=_mean_relative_deviation(d, costs, s1),
         s_star_l1=s1,
         s_star_l2=l2_scale(d, costs),
-        pair_count=K * (K - 1),
+        pair_count=2 * d.size,
     )
+
+
+LM_MAX_UNKNOWNS = 2048  # K*m cap of lm_refine: H is (K*m)^2 float64, 32 MiB
+
+
+def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> PrototypeSet:
+    """Levenberg-Marquardt polish of a Euclidean embedding fit.
+
+    Minimizes the relative pair residuals (d - D/s)/D with the l2 scale s of
+    the starting set folded into the targets; first-order steps stall in the
+    flat valleys of exactly-embeddable metrics, LM does not. Sets with more
+    than LM_MAX_UNKNOWNS coordinates are returned unchanged.
+
+    H = J^T J is built from per-pair m x m blocks, with a = unit_kl / D_kl:
+    block (k, l) is -a a^T, and each diagonal block is minus the sum of its
+    row's off-diagonal blocks; g = J^T r sums +-a r per prototype.
+    """
+    K, m = pi.size, pi.dim
+    if K * m > LM_MAX_UNKNOWNS:
+        return pi
+    d, _, t, iu, ju = _pair_data(pi, metric, DistanceSpec())
+    target = t / l2_scale(d, t)
+    rows = np.arange(K)
+
+    def loss(c):
+        diff = c[iu] - c[ju]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        r = (d - target) / t
+        return 0.5 * float(r @ r), r, d, diff
+
+    coords = pi.coords
+    val, r, d, diff = loss(coords)
+    lam = 1e-3
+    for _ in range(iters):
+        a = diff / np.maximum(d[:, None], 1e-300) / t[:, None]
+        blocks = np.zeros((K, m, K, m))
+        blocks[iu, :, ju, :] = blocks[ju, :, iu, :] = -a[:, :, None] * a[:, None, :]
+        blocks[rows, :, rows, :] = -blocks.sum(axis=2)
+        H = blocks.reshape(K * m, K * m)
+        g = np.zeros((K, m))
+        np.add.at(g, iu, a * r[:, None])
+        np.add.at(g, ju, -a * r[:, None])
+        accepted = False
+        while lam <= 1e14:
+            A = H.copy()
+            A.flat[::K * m + 1] += lam
+            try:
+                delta = np.linalg.solve(A, -g.ravel())
+            except np.linalg.LinAlgError:
+                lam *= 3.0
+                continue
+            cand = coords + delta.reshape(K, m)
+            v2, r2, d2, diff2 = loss(cand)
+            if v2 < val:
+                coords, val, r, d, diff = cand, v2, r2, d2, diff2
+                lam = max(lam / 3.0, 1e-12)
+                accepted = True
+                break
+            lam *= 3.0
+        if not accepted or val < 1e-30:
+            break
+    return pi.with_coords(coords)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .distortion import PrototypeSet, disto_loss, rank_loss, sample_triplets
+from .distortion import PrototypeSet, regularizer_loss
 from .geometry import DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pairwise_sqnorms
 from .optim import OptimizerSpec, make_optimizer
 from .taxonomy import FiniteMetric, Taxonomy, cost_matrix
@@ -371,15 +371,9 @@ def total_loss(X, z, model: EmbeddingModel, pi: PrototypeSet,
     l_reg = 0.0
     s_star = None
     if config.lam > 0 and config.regularizer != "none":
-        if config.regularizer == "rank":
-            if rng is None:
-                raise ValueError("rank regularizer needs an rng for triplet sampling")
-            batch = sample_triplets(pi.size, config.triplet_count, rng)
-            l_reg, greg = rank_loss(pi, metric_reg, config.distance, batch)
-        else:
-            fixed = config.regularizer == "disto-fixed-scale"
-            l_reg, s_star, greg = disto_loss(pi, metric_reg, config.distance,
-                                             fixed_scale=fixed)
+        l_reg, s_star, greg = regularizer_loss(config.regularizer, pi, metric_reg,
+                                               config.distance, rng,
+                                               config.triplet_count)
         dcoords = dcoords + config.lam * greg
     breakdown = LossBreakdown(l_data=l_data, l_reg=l_reg,
                               total=l_data + config.lam * l_reg, s_star=s_star)
@@ -499,6 +493,19 @@ def leaf_prototype_rows(tax: Taxonomy, class_map) -> np.ndarray:
                     dtype=np.intp)
 
 
+def class_mean_prototypes(model: EmbeddingModel, dataset: Dataset,
+                          tax: Taxonomy) -> PrototypeSet:
+    """Stand-in leaf prototypes for a head that has none, which the distortion
+    diagnostics report on: the class means of the embedded samples (the zero
+    vector for a class without samples).
+    """
+    E = forward(model, dataset.features)
+    means = np.zeros((len(tax.leaf_ids), model.output_dim))
+    for k in np.unique(dataset.labels):
+        means[k] = E[dataset.labels == k].mean(axis=0)
+    return PrototypeSet(means, tax.leaf_ids)
+
+
 def _predict_leaf_indices(model, X, config, proto_leaf=None, head=None,
                           chunk=4096) -> np.ndarray:
     preds = []
@@ -519,13 +526,10 @@ def _fit_prototypes_alone(coords, metric_reg, config, rng, max_steps=10_000,
     class_map = tuple(range(coords.shape[0]))
     prev = None
     for _ in range(max_steps):
-        pi = PrototypeSet(coords, class_map)
-        if config.regularizer == "rank":
-            batch = sample_triplets(pi.size, config.triplet_count, rng)
-            value, grads = rank_loss(pi, metric_reg, config.distance, batch)
-        else:
-            fixed = config.regularizer == "disto-fixed-scale"
-            value, _, grads = disto_loss(pi, metric_reg, config.distance, fixed_scale=fixed)
+        value, _, grads = regularizer_loss(config.regularizer,
+                                           PrototypeSet(coords, class_map),
+                                           metric_reg, config.distance, rng,
+                                           config.triplet_count)
         opt.step({"proto": coords}, {"proto": grads})
         if prev is not None and abs(prev - value) < rel_tol * max(1.0, abs(prev)):
             break
@@ -634,15 +638,7 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
     if config.head == "prototypes":
         prototypes = PrototypeSet(proto, class_map, config.include_internal_prototypes)
     else:
-        # Stand-in prototypes for non-prototype heads: class means of the
-        # training embeddings (used by the distortion diagnostics).
-        E = forward(model, X_all)
-        means = np.zeros((K, config.m))
-        for k in range(K):
-            mask = z_all == k
-            if mask.any():
-                means[k] = E[mask].mean(axis=0)
-        prototypes = PrototypeSet(means, tax.leaf_ids, includes_internal=False)
+        prototypes = class_mean_prototypes(model, dataset, tax)
     return TrainResult(model=model, prototypes=prototypes,
                        history=TrainHistory(tuple(records)), head=head)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -120,6 +121,16 @@ class TestCmdEmbed:
         assert main(["embed", toy_tax_file, "--regularizer", "rank", "--dim", "2",
                      "--steps", "200", "--seed", "0", "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "prototypes.csv"))
+
+    def test_lm_polish_skipped_above_the_cap(self, tmp_path):
+        # 65 * 32 coordinates exceed the cap; the dense polish spent over a
+        # minute on the 2080 x 2080 normal equations
+        star = tmp_path / "star65.tsv"
+        star.write_text("".join(f"s{i}\troot\n" for i in range(65)))
+        start = time.perf_counter()
+        assert main(["embed", str(star), "--dim", "32", "--steps", "2",
+                     "--out", str(tmp_path / "e")]) == 0
+        assert time.perf_counter() - start < 30
 
 
 class TestCmdSynth:
@@ -260,11 +271,43 @@ class TestCmdEval:
             self, tmp_path, four_leaf_file):
         data, ckpt = self._train(tmp_path, four_leaf_file,
                                  head="cross-entropy")
-        out = str(tmp_path / "xe_eval")
-        assert main(["eval", ckpt, data, four_leaf_file, "--out", out]) == 0
-        report = json.loads(open(os.path.join(out, "eval.json")).read())
-        assert report["distortion"] is not None
-        assert report["distortion"]["scale_free_distortion"] > 0
+        lines = open(data).read().strip().split("\n")
+        partial = tmp_path / "no_b2.csv"
+        partial.write_text("\n".join(l for l in lines if not l.endswith(",b2")) + "\n")
+        loaded = pm.load_checkpoint(ckpt)
+        metric = pm.cost_matrix(loaded.taxonomy)
+
+        def reported(dataset):
+            out = str(tmp_path / f"eval_{os.path.basename(dataset)}")
+            assert main(["eval", ckpt, dataset, four_leaf_file, "--out", out]) == 0
+            return json.loads(open(os.path.join(out, "eval.json")).read())["distortion"]
+
+        # a class is missing: the checkpoint's stored training means stand in
+        stored = pm.distortion_report(loaded.prototypes, metric, loaded.distance)
+        assert reported(str(partial)) == stored.to_dict()
+        # every class present: the means of the evaluated embeddings stand in
+        full = pm.load_csv(data, "label", loaded.taxonomy)
+        E = pm.forward(loaded.model, full.features)
+        means = np.stack([E[full.labels == k].mean(axis=0) for k in range(4)])
+        fresh = pm.distortion_report(pm.PrototypeSet(means, loaded.taxonomy.leaf_ids),
+                                     metric, loaded.distance)
+        assert reported(data) == pytest.approx(fresh.to_dict(), rel=1e-12)
+        assert fresh.scale_free_distortion != stored.scale_free_distortion
+
+    def test_taxonomy_with_other_node_numbering_exits_2(self, tmp_path, capsys):
+        trained = tmp_path / "trained.tsv"
+        trained.write_text("A\tR\nB\tR\nC\troot\nR\troot\n")
+        reordered = tmp_path / "reordered.tsv"
+        reordered.write_text("A\tR\nR\troot\nB\tR\nC\troot\n")
+        data = synth_csv(tmp_path, str(trained), per_class=5)
+        config = write_config(tmp_path, str(trained), data, str(tmp_path / "run"),
+                              train={"epochs": 1})
+        assert main(["train", config]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(tmp_path / "run" / "checkpoint_seed0.json"), data,
+                     str(reordered), "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == ["error: taxonomy node id 2 is 'root' but 'B' in the checkpoint"]
 
     def test_missing_checkpoint_exits_2(self, tmp_path, four_leaf_file):
         data = synth_csv(tmp_path, four_leaf_file, per_class=5)

@@ -6,7 +6,7 @@ from scipy.optimize import minimize_scalar
 
 import protometric as pm
 from protometric import DegeneratePrototypesError, DistanceSpec, FiniteMetric, PrototypeSet
-from protometric.distortion import l2_scale
+from protometric.distortion import LM_MAX_UNKNOWNS, l2_scale, lm_refine, regularizer_loss
 
 from conftest import (grid_search_scale, random_prototype_instance,
                       scaled_l1_sum)
@@ -50,6 +50,13 @@ class TestDistortion:
                 total += abs(d - metric.costs[k, l]) / metric.costs[k, l]
         oracle = total / (K * (K - 1))
         assert pm.distortion(pi, metric, EUC) == pytest.approx(oracle, rel=1e-12)
+
+    def test_coincident_prototypes_fit_no_scale(self):
+        metric = uniform_metric(3)
+        pi = PrototypeSet(np.zeros((3, 2)), (0, 1, 2))
+        assert pm.distortion(pi, metric, EUC) == 1.0
+        with pytest.raises(DegeneratePrototypesError):
+            pm.distortion_report(pi, metric, EUC)
 
     def test_zero_offdiagonal_cost_rejected(self):
         metric = FiniteMetric(("a", "b"), np.zeros((2, 2)))
@@ -342,3 +349,121 @@ def test_distortion_report_fields():
     payload = report.to_dict()
     assert set(payload) == {"distortion", "scale_free_distortion", "s_star_l1",
                             "s_star_l2", "pair_count"}
+
+
+class TestRegularizerLoss:
+    @pytest.mark.parametrize("kind", ["disto", "disto-fixed-scale", "rank"])
+    def test_matches_direct_calls_and_rng_order(self, kind):
+        pi, metric = random_prototype_instance(5, 3, np.random.default_rng(4))
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        value, s, grads = regularizer_loss(kind, pi, metric, EUC, rng_a, 7)
+        if kind == "rank":
+            want, want_grads = pm.rank_loss(pi, metric, EUC, pm.sample_triplets(5, 7, rng_b))
+            assert s is None
+        else:
+            want, want_s, want_grads = pm.disto_loss(
+                pi, metric, EUC, fixed_scale=kind == "disto-fixed-scale")
+            assert s == want_s
+        assert value == want
+        np.testing.assert_array_equal(grads, want_grads)
+        assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+
+    def test_rejects_missing_rng_and_unknown_kind(self):
+        pi, metric = random_prototype_instance(4, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="rng"):
+            regularizer_loss("rank", pi, metric, EUC)
+        with pytest.raises(ValueError, match="unknown regularizer"):
+            regularizer_loss("none", pi, metric, EUC)
+
+
+def dense_lm_refine(coords, costs, iters=200):
+    """Reference LM polish: the dense P x (K*m) Jacobian built pair by pair."""
+    K, m = coords.shape
+    iu, ju = np.triu_indices(K, k=1)
+    t = costs[iu, ju]
+
+    def distances(c):
+        diff = c[iu] - c[ju]
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff)), diff
+
+    d0, _ = distances(coords)
+    target = t / l2_scale(d0, t)
+
+    def loss(c):
+        d, _ = distances(c)
+        r = (d - target) / t
+        return 0.5 * float(r @ r), r, d
+
+    val, r, d = loss(coords)
+    lam = 1e-3
+    for _ in range(iters):
+        _, diff = distances(coords)
+        unit = diff / np.maximum(d[:, None], 1e-300)
+        J = np.zeros((t.size, K * m))
+        for p in range(t.size):
+            J[p, iu[p] * m:(iu[p] + 1) * m] = unit[p] / t[p]
+            J[p, ju[p] * m:(ju[p] + 1) * m] = -unit[p] / t[p]
+        g = J.T @ r
+        H = J.T @ J
+        accepted = False
+        while lam <= 1e14:
+            try:
+                delta = np.linalg.solve(H + lam * np.eye(K * m), -g)
+            except np.linalg.LinAlgError:
+                lam *= 3.0
+                continue
+            cand = coords + delta.reshape(K, m)
+            v2, r2, d2 = loss(cand)
+            if v2 < val:
+                coords, val, r, d = cand, v2, r2, d2
+                lam = max(lam / 3.0, 1e-12)
+                accepted = True
+                break
+            lam *= 3.0
+        if not accepted or val < 1e-30:
+            break
+    return coords
+
+
+class TestLmRefine:
+    @staticmethod
+    def _adam_fit(metric, dim, steps=300, seed=0):
+        """The Adam stage of `embed`, which the polish starts from."""
+        rng = np.random.default_rng(seed)
+        coords = rng.standard_normal((metric.size, dim))
+        opt = pm.Adam(lr=0.05)
+        for step in range(steps):
+            opt.lr = 0.05 * (1.0 - step / steps)
+            pi = PrototypeSet(coords, tuple(range(metric.size)))
+            opt.step({"proto": coords}, {"proto": pm.disto_loss(pi, metric, EUC)[2]})
+        return PrototypeSet(coords, tuple(range(metric.size)))
+
+    def test_equals_dense_oracle_on_exactly_embeddable_tree(self):
+        # the unit star on 4 leaves is a regular tetrahedron in R^3
+        metric = pm.cost_matrix(pm.parse_taxonomy("a\tr\nb\tr\nc\tr\nd\tr\n"))
+        pi = self._adam_fit(metric, 3)
+        out = lm_refine(pi, metric)
+        np.testing.assert_array_equal(out.coords, dense_lm_refine(pi.coords, metric.costs))
+        assert pm.scale_free_distortion(out, metric, EUC) < 1e-12
+
+    def test_agrees_with_dense_oracle_on_27_leaf_tree(self):
+        lines = [f"{p}{i}\t{p or 'root'}" for p in ["", *"012"] for i in range(3)]
+        lines += [f"{p}{i}{j}\t{p}{i}" for p in "012" for i in range(3) for j in range(3)]
+        metric = pm.cost_matrix(pm.parse_taxonomy("\n".join(lines) + "\n"))
+        assert metric.size == 27
+        pi = self._adam_fit(metric, 2)
+        got = lm_refine(pi, metric)
+        want = pi.with_coords(dense_lm_refine(pi.coords, metric.costs))
+        a, b = pm.distortion_report(got, metric, EUC), pm.distortion_report(want, metric, EUC)
+        assert a.scale_free_distortion > 0.1  # not embeddable in the plane
+        assert a.scale_free_distortion == pytest.approx(b.scale_free_distortion, rel=1e-8)
+        assert a.distortion == pytest.approx(b.distortion, rel=1e-8)
+        np.testing.assert_allclose(pair_ratios(got, metric)[1], pair_ratios(want, metric)[1],
+                                   rtol=1e-6)
+
+    def test_above_the_cap_returns_input_unchanged(self):
+        K = 65
+        metric = uniform_metric(K)
+        pi = PrototypeSet(np.random.default_rng(0).standard_normal((K, 32)), tuple(range(K)))
+        assert K * 32 > LM_MAX_UNKNOWNS
+        assert lm_refine(pi, metric) is pi

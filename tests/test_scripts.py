@@ -1,5 +1,7 @@
 """Smoke test of the experiment script under scripts/."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,3 +25,19 @@ def test_synthetic_benchmark_prints_a_row_per_arm():
     for row in rows:
         er, ac, sfd = (float(v) for v in row.split()[1:4])
         assert 0.0 <= er <= 1.0 and ac >= 0.0 and sfd >= 0.0
+
+
+def test_every_traced_layer_resolves():
+    # the traced benchmark silently skips a site that no longer exists, so a
+    # refactor that moves a function would drop its layer unnoticed
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, (sites, _) in spans.LAYERS.items():
+        module_name, attr_path = sites[0].split(":")
+        owner = importlib.import_module(f"protometric.{module_name}")
+        *outer, attr = attr_path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert callable(owner.__dict__.get(attr)), f"{layer}: {sites[0]} does not resolve"
