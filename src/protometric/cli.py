@@ -9,13 +9,13 @@ the BLAS thread pools before numpy loads.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
+
+from .formats import Record, csv_text, json_text, read_table
 
 if TYPE_CHECKING:
     from .model import TrainConfig
@@ -25,14 +25,20 @@ SCHEMES = ("max-prob", "min-ec", "any-node")
 AGGREGATES = ("median", "mean")
 
 
+def _default_train() -> "TrainConfig":
+    from .model import TrainConfig
+
+    return TrainConfig()
+
+
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Resolved configuration of a training run (JSON on disk)."""
 
-    train: "TrainConfig"
     taxonomy_path: str
     dataset_path: str
-    output_dir: str
+    train: TrainConfig = field(default_factory=_default_train)
+    output_dir: str = ""
     scheme: str = "max-prob"
     aggregate: str = "median"
     seeds: tuple[int, ...] = (0,)
@@ -49,37 +55,6 @@ class RunConfig:
             raise ValueError("seed list must not be empty")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
-    def to_dict(self) -> dict:
-        return {
-            "train": self.train.to_dict(),
-            "taxonomy_path": self.taxonomy_path,
-            "dataset_path": self.dataset_path,
-            "output_dir": self.output_dir,
-            "scheme": self.scheme,
-            "aggregate": self.aggregate,
-            "seeds": list(self.seeds),
-            "test_fraction": self.test_fraction,
-            "label_column": self.label_column,
-            "taxonomy_format": self.taxonomy_format,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
-        from .model import TrainConfig
-
-        return RunConfig(
-            train=TrainConfig.from_dict(d.get("train", {})),
-            taxonomy_path=d["taxonomy_path"],
-            dataset_path=d["dataset_path"],
-            output_dir=d.get("output_dir", ""),
-            scheme=d.get("scheme", "max-prob"),
-            aggregate=d.get("aggregate", "median"),
-            seeds=tuple(d.get("seeds", [0])),
-            test_fraction=float(d.get("test_fraction", 0.25)),
-            label_column=d.get("label_column", "label"),
-            taxonomy_format=d.get("taxonomy_format", "edge-list"),
-        )
-
 
 def _write_text(path: str, text: str) -> None:
     parent = os.path.dirname(path)
@@ -90,7 +65,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json_text(payload))
+
+
+def _echo(args, *drop, **extra) -> dict:
+    """A command's config echo: its arguments less the output path and
+    `drop`, updated by `extra`."""
+    skip = {"threads", "command", "func", "out", *drop}
+    return {**{k: v for k, v in vars(args).items() if k not in skip}, **extra}
 
 
 def _read_taxonomy(path: str, fmt: str):
@@ -101,13 +83,9 @@ def _read_taxonomy(path: str, fmt: str):
 
 
 def _prototypes_csv(pi, tax) -> str:
-    buf = io.StringIO()
-    m = pi.dim
-    buf.write("class_name,node_id," + ",".join(f"x{j}" for j in range(m)) + "\n")
-    for row, node_id in zip(pi.coords, pi.class_map):
-        buf.write(tax.nodes[node_id].name + f",{node_id},"
-                  + ",".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
+    return csv_text(["class_name", "node_id", *(f"x{j}" for j in range(pi.dim))],
+                    ([tax.nodes[node_id].name, node_id, *row]
+                     for node_id, row in zip(pi.class_map, pi.coords.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +108,14 @@ def cmd_embed(args) -> int:
     from .distortion import (PrototypeSet, distortion_report, lm_refine,
                              regularizer_loss)
     from .geometry import DistanceSpec
-    from .optim import Adam
+    from .optim import OptimizerSpec, make_optimizer
     from .taxonomy import cost_matrix
 
+    for flag, value in (("--steps", args.steps), ("--dim", args.dim),
+                        ("--triplets", args.triplets)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+    opt = make_optimizer(OptimizerSpec(lr=args.lr))
     tax = _read_taxonomy(args.taxonomy, args.format)
     metric = cost_matrix(tax, "all-nodes" if args.nodes == "all" else "leaves-only")
     node_ids = (tuple(range(tax.n_nodes)) if args.nodes == "all"
@@ -143,7 +126,6 @@ def cmd_embed(args) -> int:
 
     K = metric.size
     exhaustive = K * (K - 1) * (K - 2) <= 2000
-    opt = Adam(lr=args.lr)
     for step in range(args.steps):
         opt.lr = args.lr * (1.0 - step / args.steps)  # decay to 0 for a tight fit
         _, _, grads = regularizer_loss(args.regularizer, PrototypeSet(coords, node_ids),
@@ -156,12 +138,8 @@ def cmd_embed(args) -> int:
     out = args.out
     _write_text(os.path.join(out, "prototypes.csv"), _prototypes_csv(pi, tax))
     _write_json(os.path.join(out, "distortion.json"), report.to_dict())
-    _write_json(os.path.join(out, "embed_config.json"), {
-        "taxonomy": args.taxonomy, "format": args.format, "nodes": args.nodes,
-        "dim": args.dim, "regularizer": args.regularizer, "steps": args.steps,
-        "seed": args.seed, "lr": args.lr, "distance": spec.to_dict(),
-        "triplets": args.triplets,
-    })
+    _write_json(os.path.join(out, "embed_config.json"),
+                _echo(args, "delta", distance=spec.to_dict()))
     print(f"scale-free distortion {report.scale_free_distortion:.3e} "
           f"-> {out}")
     return 0
@@ -170,22 +148,15 @@ def cmd_embed(args) -> int:
 def _load_run_config(args) -> RunConfig:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = RunConfig.from_dict(json.load(fh))
-    train = cfg.train
-    if args.lam is not None:
-        train = replace(train, lam=args.lam)
-    if args.epochs is not None:
-        train = replace(train, epochs=args.epochs)
-    if args.head is not None:
-        train = replace(train, head=args.head)
-    if args.regularizer is not None:
-        train = replace(train, regularizer=args.regularizer)
-    cfg = replace(cfg, train=train)
+
+    def given(**flags):
+        return {name: value for name, value in flags.items() if value is not None}
+
+    train = replace(cfg.train, **given(lam=args.lam, epochs=args.epochs, head=args.head,
+                                       regularizer=args.regularizer))
+    cfg = replace(cfg, train=train, **given(scheme=args.scheme, aggregate=args.aggregate))
     if args.seeds is not None:
         cfg = replace(cfg, seeds=tuple(int(s) for s in args.seeds.split(",")))
-    if args.scheme is not None:
-        cfg = replace(cfg, scheme=args.scheme)
-    if args.aggregate is not None:
-        cfg = replace(cfg, aggregate=args.aggregate)
     out = args.output_dir or cfg.output_dir
     if not out:
         root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
@@ -222,8 +193,7 @@ def cmd_train(args) -> int:
                         result.model, result.prototypes, cfg.train.distance,
                         tax, head=result.head)
         _write_text(os.path.join(out, f"history_{tag}.csv"), result.history.to_csv())
-        _write_text(os.path.join(out, f"history_{tag}.json"),
-                    result.history.to_json() + "\n")
+        _write_text(os.path.join(out, f"history_{tag}.json"), result.history.to_json())
         _write_text(os.path.join(out, f"prototypes_{tag}.csv"),
                     _prototypes_csv(result.prototypes, tax))
 
@@ -250,12 +220,10 @@ def _embeddings_csv(ckpt, dataset) -> str:
     from .model import forward
 
     E = forward(ckpt.model, dataset.features)
-    buf = io.StringIO()
-    buf.write("index,label," + ",".join(f"e{j}" for j in range(E.shape[1])) + "\n")
-    for i, (row, z) in enumerate(zip(E, dataset.labels)):
-        buf.write(f"{i},{dataset.class_names[z]},"
-                  + ",".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
+    names = dataset.class_names
+    return csv_text(["index", "label", *(f"e{j}" for j in range(E.shape[1]))],
+                    ([i, names[z], *row] for i, (z, row)
+                     in enumerate(zip(dataset.labels.tolist(), E.tolist()))))
 
 
 def _evaluate_checkpoint(ckpt, tax, dataset, scheme: str):
@@ -290,20 +258,12 @@ def _evaluate_checkpoint(ckpt, tax, dataset, scheme: str):
 def _aggregate_reports(per_seed: list[dict], how: str) -> dict:
     import numpy as np
 
-    out = {}
-    keys = ["er", "ac", "l_er", "r_er"]
-    for key in keys:
-        vals = [r[key] for r in per_seed if r.get(key) is not None]
-        if vals:
-            out[key] = float(np.median(vals) if how == "median" else np.mean(vals))
-        else:
-            out[key] = None
-    disto_vals = [r["distortion"]["scale_free_distortion"] for r in per_seed
-                  if r.get("distortion")]
-    out["scale_free_distortion"] = (
-        float(np.median(disto_vals) if how == "median" else np.mean(disto_vals))
-        if disto_vals else None)
-    return out
+    average = np.median if how == "median" else np.mean
+    values = {key: [r[key] for r in per_seed if r[key] is not None]
+              for key in ("er", "ac", "l_er", "r_er")}
+    values["scale_free_distortion"] = [r["distortion"]["scale_free_distortion"]
+                                       for r in per_seed if r["distortion"]]
+    return {key: float(average(v)) if v else None for key, v in values.items()}
 
 
 def cmd_eval(args) -> int:
@@ -325,35 +285,10 @@ def cmd_eval(args) -> int:
     out = args.out
     _write_json(os.path.join(out, "eval.json"), report.to_dict())
     _write_text(os.path.join(out, "confusion.csv"), report.confusion_to_csv())
-    _write_json(os.path.join(out, "eval_config.json"), {
-        "checkpoint": args.checkpoint, "dataset": args.dataset,
-        "taxonomy": args.taxonomy, "format": args.format,
-        "scheme": args.scheme, "label_column": args.label_column,
-    })
+    _write_json(os.path.join(out, "eval_config.json"), _echo(args))
     extra = "" if report.l_er is None else f" l_er={report.l_er:.4f} r_er={report.r_er}"
     print(f"er={report.er:.4f} ac={report.ac:.4f}{extra} -> {out}")
     return 0
-
-
-def _read_features_csv(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if len(rows) < 2:
-        raise ValueError("features file needs a header and at least one row")
-    header = [h.strip() for h in rows[0]]
-    id_pos = header.index("id") if "id" in header else None
-    feat_pos = [i for i in range(len(header)) if i != id_pos]
-    ids = []
-    feats = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValueError(f"row {r}: expected {len(header)} cells")
-        ids.append(row[id_pos] if id_pos is not None else str(r - 2))
-        try:
-            feats.append([float(row[i]) for i in feat_pos])
-        except ValueError:
-            raise ValueError(f"row {r}: non-numeric feature cell") from None
-    return ids, feats
 
 
 def cmd_infer(args) -> int:
@@ -363,32 +298,28 @@ def cmd_infer(args) -> int:
     from .model import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
-    tax = ckpt.taxonomy
-    ids, feats = _read_features_csv(args.features)
+    ids, feats = read_table(args.features, "id")
     X = np.asarray(feats, dtype=np.float64)
     if X.shape[1] != ckpt.model.input_dim:
         raise ValueError(f"feature dimension {X.shape[1]} does not match the "
                          f"model input dimension {ckpt.model.input_dim}")
+    if ids is None:
+        ids = range(X.shape[0])
 
     preds, metric, P, ec_table = predict(ckpt, X, args.scheme)
-    names = metric.class_names
-    leaf_names = tax.leaf_names
-    buf = io.StringIO()
-    buf.write("sample_id,scheme,predicted_class,p1_class,p1_prob,p2_class,p2_prob,"
-              "p3_class,p3_prob,ec\n")
-    for i, sample_id in enumerate(ids):
-        top = np.argsort(-P[i], kind="stable")[:3]
-        cells = []
-        for t in range(3):
-            if t < top.size:
-                cells += [leaf_names[top[t]], repr(float(P[i, top[t]]))]
-            else:
-                cells += ["", ""]
-        ec = float(ec_table[i, preds[i]])
-        buf.write(f"{sample_id},{args.scheme},{names[preds[i]]},"
-                  + ",".join(cells) + f",{ec!r}\n")
-    _write_text(args.out, buf.getvalue())
-    print(f"wrote {len(ids)} predictions to {args.out}")
+    names, leaf_names = metric.class_names, ckpt.taxonomy.leaf_names
+    top = np.argsort(-P, axis=1, kind="stable")[:, :3]
+    probs = np.take_along_axis(P, top, axis=1).tolist()
+    ecs = ec_table[np.arange(X.shape[0]), preds].tolist()
+    rows = []
+    for sample_id, pred, ks, ps, ec in zip(ids, preds.tolist(), top.tolist(), probs, ecs):
+        cells = [cell for k, p in zip(ks, ps) for cell in (leaf_names[k], p)]
+        cells += [None] * (6 - len(cells))  # fewer than three leaves
+        rows.append([sample_id, args.scheme, names[pred], *cells, ec])
+    _write_text(args.out, csv_text(
+        ["sample_id", "scheme", "predicted_class", "p1_class", "p1_prob", "p2_class",
+         "p2_prob", "p3_class", "p3_prob", "ec"], rows))
+    print(f"wrote {X.shape[0]} predictions to {args.out}")
     return 0
 
 
@@ -406,12 +337,7 @@ def cmd_synth(args) -> int:
                                          rng=rng)
     _write_text(args.out, dataset_to_csv(dataset))
     meta = os.path.splitext(args.out)[0] + ".meta.json"
-    _write_json(meta, {
-        "taxonomy": args.taxonomy, "format": args.format,
-        "per_class": args.per_class, "dims": args.dims,
-        "root_spread": args.root_spread, "decay": args.decay,
-        "noise": args.noise, "seed": args.seed, "n": dataset.n,
-    })
+    _write_json(meta, _echo(args, n=dataset.n))
     print(f"wrote {dataset.n} samples to {args.out}")
     return 0
 

@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import DataError, csv_text, read_table
 from .taxonomy import Taxonomy
-
-
-class DataError(ValueError):
-    """Malformed dataset file or inconsistent dataset contents."""
 
 
 @dataclass(frozen=True)
@@ -98,54 +93,22 @@ def load_csv(text_or_path, label_column: str, tax: Taxonomy) -> Dataset:
     Accepts a path or raw CSV text. Feature order follows column order;
     labels are resolved against the taxonomy leaf names.
     """
-    if isinstance(text_or_path, str) and "\n" in text_or_path:
-        text = text_or_path
-    else:
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows:
-        raise DataError("empty dataset: no header row")
-    header = [h.strip() for h in rows[0]]
-    if label_column not in header:
-        raise DataError(f"label column '{label_column}' not found in header")
-    if len(rows) == 1:
-        raise DataError("empty dataset: header only")
-    label_pos = header.index(label_column)
-    feature_pos = [i for i in range(len(header)) if i != label_pos]
-    if not feature_pos:
-        raise DataError("no feature columns")
-
+    names, features = read_table(text_or_path, label_column, required=True)
     leaf_index = {name: k for k, name in enumerate(tax.leaf_names)}
-    features = np.zeros((len(rows) - 1, len(feature_pos)))
-    labels = np.zeros(len(rows) - 1, dtype=np.intp)
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"row {r}: expected {len(header)} cells, got {len(row)}")
-        name = row[label_pos].strip()
-        if name not in leaf_index:
-            raise DataError(f"row {r}: unknown label '{name}'")
-        labels[r - 2] = leaf_index[name]
-        for j, pos in enumerate(feature_pos):
-            try:
-                features[r - 2, j] = float(row[pos])
-            except ValueError:
-                raise DataError(
-                    f"row {r}: non-numeric value '{row[pos]}' in column "
-                    f"'{header[pos]}'") from None
+    labels = [leaf_index.get(name.strip()) for name in names]
+    if None in labels:
+        r = labels.index(None)
+        raise DataError(f"row {r + 2}: unknown label {names[r].strip()!r}")
     return Dataset(features, labels, tax.leaf_names)
 
 
 def dataset_to_csv(dataset: Dataset, label_column: str = "label") -> str:
     """CSV text with feature columns f0..f{d-1} and a label-name column."""
     d = dataset.features.shape[1]
-    buf = io.StringIO()
-    buf.write(",".join(f"f{j}" for j in range(d)) + f",{label_column}\n")
-    for x, z in zip(dataset.features, dataset.labels):
-        buf.write(",".join(repr(float(v)) for v in x))
-        buf.write(f",{dataset.class_names[z]}\n")
-    return buf.getvalue()
+    names = dataset.class_names
+    return csv_text([*(f"f{j}" for j in range(d)), label_column],
+                    ([*x, names[z]] for x, z in zip(dataset.features.tolist(),
+                                                     dataset.labels.tolist())))
 
 
 def split(dataset: Dataset, test_fraction: float,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import Record
 from .geometry import DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm
 from .taxonomy import FiniteMetric
 
@@ -30,7 +31,7 @@ class DegeneratePrototypesError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class PrototypeSet:
+class PrototypeSet(Record):
     """Learnable class representatives, one row per covered taxonomy node."""
 
     coords: np.ndarray            # (K', m) float64
@@ -71,21 +72,12 @@ class PrototypeSet:
 
 
 @dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(Record):
     distortion: float
     scale_free_distortion: float
     s_star_l1: float
     s_star_l2: float
     pair_count: int  # ordered pairs K(K-1)
-
-    def to_dict(self) -> dict:
-        return {
-            "distortion": self.distortion,
-            "scale_free_distortion": self.scale_free_distortion,
-            "s_star_l1": self.s_star_l1,
-            "s_star_l2": self.s_star_l2,
-            "pair_count": self.pair_count,
-        }
 
 
 @dataclass(frozen=True)
@@ -316,13 +308,28 @@ def distortion_report(pi: PrototypeSet, metric: FiniteMetric,
 LM_MAX_UNKNOWNS = 2048  # K*m cap of lm_refine: H is (K*m)^2 float64, 32 MiB
 
 
+def _gauge_basis(coords: np.ndarray) -> np.ndarray:
+    """Orthonormal (K*m, r) basis of the rigid motions at `coords`: the m
+    translations and m(m-1)/2 plane rotations, which change no distance."""
+    K, m = coords.shape
+    planes = list(itertools.combinations(range(m), 2))
+    G = np.zeros((m + len(planes), K, m))
+    G[np.arange(m), :, np.arange(m)] = 1.0
+    for i, (a, b) in enumerate(planes, start=m):
+        G[i, :, a], G[i, :, b] = -coords[:, b], coords[:, a]
+    U, s, _ = np.linalg.svd(G.reshape(len(G), K * m).T, full_matrices=False)
+    return U[:, s > 1e-10 * s[0]]
+
+
 def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> PrototypeSet:
     """Levenberg-Marquardt polish of a Euclidean embedding fit.
 
     Minimizes the relative pair residuals (d - D/s)/D with the l2 scale s of
     the starting set folded into the targets; first-order steps stall in the
     flat valleys of exactly-embeddable metrics, LM does not. Sets with more
-    than LM_MAX_UNKNOWNS coordinates are returned unchanged.
+    than LM_MAX_UNKNOWNS coordinates are returned unchanged. Each step is
+    projected off the rigid motions, which H leaves undamped but for lam:
+    otherwise rounding in g moves the result along them.
 
     H = J^T J is built from per-pair m x m blocks, with a = unit_kl / D_kl:
     block (k, l) is -a a^T, and each diagonal block is minus the sum of its
@@ -343,6 +350,7 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
 
     coords = pi.coords
     val, r, d, diff = loss(coords)
+    gauge = _gauge_basis(coords)
     lam = 1e-3
     for _ in range(iters):
         a = diff / np.maximum(d[:, None], 1e-300) / t[:, None]
@@ -362,10 +370,12 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
             except np.linalg.LinAlgError:
                 lam *= 3.0
                 continue
+            delta -= gauge @ (gauge.T @ delta)
             cand = coords + delta.reshape(K, m)
             v2, r2, d2, diff2 = loss(cand)
             if v2 < val:
                 coords, val, r, d, diff = cand, v2, r2, d2, diff2
+                gauge = _gauge_basis(coords)
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distortion import DistortionReport, PrototypeSet, distortion_report
+from .formats import Record, csv_text, json_text
 from .geometry import DistanceSpec
 from .taxonomy import FiniteMetric
 
@@ -33,14 +32,12 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json_text(self.to_dict())
 
     def confusion_to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("true\\predicted," + ",".join(self.class_names) + "\n")
-        for name, row in zip(self.class_names, self.confusion):
-            buf.write(name + "," + ",".join(str(int(c)) for c in row) + "\n")
-        return buf.getvalue()
+        names = self.class_names
+        return csv_text(["true\\predicted", *names],
+                        ([name, *row] for name, row in zip(names, self.confusion.tolist())))
 
 
 def evaluate(predictions, labels, metric: FiniteMetric,
@@ -92,18 +89,13 @@ def evaluate(predictions, labels, metric: FiniteMetric,
 
 
 @dataclass(frozen=True)
-class PairDelta:
+class PairDelta(Record):
     class_a: str
     class_b: str
     count_a: int     # confusions (either direction) in the first report
     count_b: int     # same pair in the second report
     rel_change: float  # (count_b - count_a) / count_a; inf for new confusions
     cost: float
-
-    def to_dict(self) -> dict:
-        return {"class_a": self.class_a, "class_b": self.class_b,
-                "count_a": self.count_a, "count_b": self.count_b,
-                "rel_change": self.rel_change, "cost": self.cost}
 
 
 def compare(report_a: EvalReport, report_b: EvalReport,

@@ -1,0 +1,184 @@
+"""File formats: one JSON codec for records, one CSV reader and one CSV writer.
+
+A record is a dataclass that mixes in `Record`. Its JSON keys are its field
+names (field metadata "key" renames one), and an absent key takes the field
+default. `from_dict` rejects an unknown key, a section that is not an object
+and a value of the wrong JSON type with a ValueError naming the key path; a
+float field also takes a JSON integer. Value checks stay with each class.
+Imports no numpy: the CLI's run config is built before `--threads` pins BLAS.
+"""
+
+from __future__ import annotations
+
+import csv
+import dataclasses
+import functools
+import io
+import json
+import math
+import sys
+import types
+import typing
+
+
+class DataError(ValueError):
+    """Malformed dataset file or inconsistent dataset contents."""
+
+
+def json_text(payload) -> str:
+    """The text of every JSON file written: indent 2, sorted keys, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number",
+               float: "a number", str: "a string", list: "an array", dict: "an object"}
+_SCALARS = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+            float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _wrong_type(path: str, want: str, value) -> ValueError:
+    where = repr(path) if path else "the top level"
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    return ValueError(f"{where} must be {want}, got {got}")
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """JSON key -> (field name, type, required) per field of a record class."""
+    # names a module binds only for type checking (the CLI's TrainConfig)
+    # resolve among the package's exports
+    package = sys.modules[__package__]
+    exports = {name: getattr(package, name) for name in package.__all__}
+    hints = typing.get_type_hints(cls, localns=exports)
+    return {f.metadata.get("key", f.name): (f.name, hints[f.name],
+                                            f.default is dataclasses.MISSING
+                                            and f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)}
+
+
+def _encode(value):
+    if isinstance(value, tuple):
+        return list(value)
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    return value.tolist() if hasattr(value, "tolist") else value  # numpy arrays
+
+
+def _decode(hint, value, path: str):
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        return _decode(hint, value, path)
+    if origin is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise _wrong_type(path, "an array", value)
+        item = typing.get_args(hint)[0]
+        return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if hint in _SCALARS:
+        takes, want = _SCALARS[hint]
+        if type(value) not in takes:
+            raise _wrong_type(path, want, value)
+        return hint(value)
+    if issubclass(hint, Record):
+        return hint.from_dict(value, path)
+    if hasattr(hint, "from_dict"):  # a class with its own checks (Taxonomy)
+        return hint.from_dict(value)
+    import numpy as np  # the remaining type, ndarray: float64 from nested number lists
+
+    try:
+        array = np.asarray(value) if isinstance(value, list) else None
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise _wrong_type(path, "an array of numbers", value)
+    return array.astype(np.float64, copy=False)
+
+
+class Record:
+    """Mixin giving a dataclass its JSON object form (see the module docstring)."""
+
+    def to_dict(self) -> dict:
+        return {key: _encode(getattr(self, name))
+                for key, (name, _, _) in _fields(type(self)).items()}
+
+    @classmethod
+    def from_dict(cls, d, path: str = ""):
+        if not isinstance(d, dict):
+            raise _wrong_type(path, "an object", d)
+        fields = _fields(cls)
+        for key in d:
+            if key not in fields:
+                raise ValueError(f"unknown key {_join(path, key)!r}")
+        kwargs = {}
+        for key, (name, hint, required) in fields.items():
+            if key in d:
+                kwargs[name] = _decode(hint, d[key], _join(path, key))
+            elif required:
+                raise ValueError(f"missing key {_join(path, key)!r}")
+        return cls(**kwargs)
+
+
+def read_table(source, text_column: str, required: bool = False):
+    """(texts, values) of a CSV table with a header row; blank lines skipped.
+
+    `source` is a path, or CSV text when it is a string holding a newline.
+    Every column but `text_column` must hold finite numbers: `values` has one
+    float list per row. `texts` has the text column's cells, or is None when
+    the header lacks it; `required` makes it a label column that must exist.
+    Rows are parsed as they are read, so the file is never held whole.
+    """
+    is_text = isinstance(source, str) and "\n" in source
+    with io.StringIO(source) if is_text else open(source, "r", encoding="utf-8") as fh:
+        rows = (row for row in csv.reader(fh) if row)
+        header = [h.strip() for h in next(rows, [])]
+        if not header:
+            raise DataError("empty file: no header row")
+        pos = header.index(text_column) if text_column in header else None
+        if pos is None and required:
+            raise DataError(f"label column {text_column!r} not found in header")
+        names = [h for i, h in enumerate(header) if i != pos]
+        if not names:
+            raise DataError("no numeric columns")
+        texts = None if pos is None else []
+        values = []
+        for r, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise DataError(f"row {r}: expected {len(header)} cells, got {len(row)}")
+            if pos is not None:
+                texts.append(row.pop(pos))
+            numbers = []
+            for name, cell in zip(names, row):
+                try:
+                    number = float(cell)
+                except ValueError:
+                    raise DataError(f"row {r}, column {name!r}: non-numeric "
+                                    f"value {cell!r}") from None
+                if not math.isfinite(number):
+                    raise DataError(f"row {r}, column {name!r}: non-finite value {cell!r}")
+                numbers.append(number)
+            values.append(numbers)
+    if not values:
+        raise DataError("header only: no data rows")
+    return texts, values
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return float.__repr__(value) if isinstance(value, float) else str(value)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a table, cells unquoted: floats in `repr` form, None empty.
+
+    Rows hold Python scalars (`ndarray.tolist()`), not numpy scalars.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import Record
+
 EUCLIDEAN = "euclidean"
 SQUARED_EUCLIDEAN = "squared-euclidean"
 HUBER = "huber"
@@ -31,7 +33,7 @@ class NonDifferentiableError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class DistanceSpec:
+class DistanceSpec(Record):
     kind: str = EUCLIDEAN
     delta: float = 0.1  # Huber parameter, embedding-space units
 
@@ -40,13 +42,6 @@ class DistanceSpec:
             raise ValueError(f"unknown distance kind '{self.kind}'")
         if self.kind == HUBER and not self.delta > 0:
             raise ValueError("huber distance needs delta > 0")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "delta": self.delta}
-
-    @staticmethod
-    def from_dict(d: dict) -> "DistanceSpec":
-        return DistanceSpec(kind=d["kind"], delta=float(d.get("delta", 0.1)))
 
 
 def _check_pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,12 +11,13 @@ provides the matching numerical oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .data import Dataset
 from .distortion import PrototypeSet, regularizer_loss
+from .formats import Record, csv_text, json_text
 from .geometry import DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pairwise_sqnorms
 from .optim import OptimizerSpec, make_optimizer
 from .taxonomy import FiniteMetric, Taxonomy, cost_matrix
@@ -39,7 +40,7 @@ class TrainingDivergedError(FloatingPointError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EmbeddingModel:
+class EmbeddingModel(Record):
     """Parameterized map from raw features to the embedding space.
 
     Parameters live in one flat float64 vector; layers are views into it.
@@ -63,22 +64,6 @@ class EmbeddingModel:
 
     def param_count(self) -> int:
         return sum(din * dout + dout for din, dout in self.layer_dims())
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "input_dim": self.input_dim,
-                "output_dim": self.output_dim, "hidden": list(self.hidden),
-                "activation": self.activation,
-                "params": [float(p) for p in self.params]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "EmbeddingModel":
-        model = EmbeddingModel(kind=d["kind"], input_dim=int(d["input_dim"]),
-                               output_dim=int(d["output_dim"]),
-                               hidden=tuple(int(h) for h in d.get("hidden", [])),
-                               activation=d.get("activation", "relu"),
-                               params=np.asarray(d["params"], dtype=np.float64))
-        _validate_model(model)
-        return model
 
 
 def _validate_model(model: EmbeddingModel) -> None:
@@ -268,7 +253,7 @@ def soft_label_targets(metric: FiniteMetric, z: int, beta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Record):
     """Hyper-parameters for one training run.
 
     `lam` is the regularization strength (serialized as "lambda"); `beta`
@@ -277,7 +262,7 @@ class TrainConfig:
     model built by `train`.
     """
 
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"key": "lambda"})
     regularizer: str = "disto"
     head: str = "prototypes"
     beta: float = 10.0
@@ -310,42 +295,6 @@ class TrainConfig:
         if self.regularizer == "rank" and self.triplet_count < 1:
             raise ValueError("rank regularizer needs triplet_count >= 1")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam, "regularizer": self.regularizer, "head": self.head,
-            "beta": self.beta, "distance": self.distance.to_dict(), "m": self.m,
-            "include_internal_prototypes": self.include_internal_prototypes,
-            "schedule": self.schedule, "optimizer": self.optimizer.to_dict(),
-            "epochs": self.epochs, "batch_size": self.batch_size, "seed": self.seed,
-            "triplet_count": self.triplet_count, "architecture": self.architecture,
-            "hidden": list(self.hidden), "activation": self.activation,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        base = TrainConfig()
-        hidden = d.get("hidden", base.hidden)
-        if not isinstance(hidden, (list, tuple)):
-            raise ValueError(f"hidden must be a list of layer widths, got {hidden!r}")
-        return TrainConfig(
-            lam=float(d.get("lambda", base.lam)),
-            regularizer=d.get("regularizer", base.regularizer),
-            head=d.get("head", base.head),
-            beta=float(d.get("beta", base.beta)),
-            distance=DistanceSpec.from_dict(d["distance"]) if "distance" in d else base.distance,
-            m=int(d.get("m", base.m)),
-            include_internal_prototypes=bool(d.get("include_internal_prototypes", False)),
-            schedule=d.get("schedule", base.schedule),
-            optimizer=OptimizerSpec.from_dict(d["optimizer"]) if "optimizer" in d else base.optimizer,
-            epochs=int(d.get("epochs", base.epochs)),
-            batch_size=int(d.get("batch_size", base.batch_size)),
-            seed=int(d.get("seed", base.seed)),
-            triplet_count=int(d.get("triplet_count", base.triplet_count)),
-            architecture=d.get("architecture", base.architecture),
-            hidden=tuple(hidden),
-            activation=d.get("activation", base.activation),
-        )
 
 
 @dataclass(frozen=True)
@@ -385,7 +334,7 @@ def total_loss(X, z, model: EmbeddingModel, pi: PrototypeSet,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LinearHead:
+class LinearHead(Record):
     """Linear map from the embedding space to class logits (zero-initialized)."""
 
     n_classes: int
@@ -398,15 +347,6 @@ class LinearHead:
             self.params = np.zeros(want)
         elif self.params.shape != (want,):
             raise ValueError("head parameter vector has the wrong size")
-
-    def to_dict(self) -> dict:
-        return {"n_classes": self.n_classes, "input_dim": self.input_dim,
-                "params": [float(p) for p in self.params]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "LinearHead":
-        return LinearHead(int(d["n_classes"]), int(d["input_dim"]),
-                          np.asarray(d["params"], dtype=np.float64))
 
 
 def head_logits(head: LinearHead, E: np.ndarray) -> np.ndarray:
@@ -448,7 +388,7 @@ def _head_loss(X, z, model: EmbeddingModel, head: LinearHead,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(Record):
     epoch: int
     l_data: float
     l_reg: float
@@ -463,20 +403,10 @@ class TrainHistory:
     records: tuple[EpochRecord, ...]
 
     def to_csv(self) -> str:
-        lines = ["epoch,l_data,l_reg,total,s_star,train_er,train_ac"]
-        for r in self.records:
-            s = "" if r.s_star is None else repr(r.s_star)
-            lines.append(f"{r.epoch},{r.l_data!r},{r.l_reg!r},{r.total!r},{s},"
-                         f"{r.train_er!r},{r.train_ac!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text([f.name for f in fields(EpochRecord)], map(astuple, self.records))
 
     def to_json(self) -> str:
-        payload = [
-            {"epoch": r.epoch, "l_data": r.l_data, "l_reg": r.l_reg, "total": r.total,
-             "s_star": r.s_star, "train_er": r.train_er, "train_ac": r.train_ac}
-            for r in self.records
-        ]
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json_text([r.to_dict() for r in self.records])
 
 
 @dataclass
@@ -674,7 +604,7 @@ def finite_difference_check(evaluator, params: np.ndarray, h: float = 1e-5) -> f
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Checkpoint:
+class Checkpoint(Record):
     model: EmbeddingModel
     prototypes: PrototypeSet
     distance: DistanceSpec
@@ -685,39 +615,18 @@ class Checkpoint:
 def save_checkpoint(path, model: EmbeddingModel, prototypes: PrototypeSet,
                     distance: DistanceSpec, tax: Taxonomy,
                     head: LinearHead | None = None) -> None:
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "distance": distance.to_dict(),
-        "model": model.to_dict(),
-        "prototypes": {
-            "coords": [[float(v) for v in row] for row in prototypes.coords],
-            "class_map": list(prototypes.class_map),
-            "includes_internal": prototypes.includes_internal,
-        },
-        "head": None if head is None else head.to_dict(),
-        "taxonomy": tax.to_dict(),
-    }
+    ckpt = Checkpoint(model, prototypes, distance, tax, head)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text({"format_version": CHECKPOINT_VERSION, **ckpt.to_dict()}))
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    version = payload.pop("format_version", None) if isinstance(payload, dict) else None
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    proto = payload["prototypes"]
-    ckpt = Checkpoint(
-        model=EmbeddingModel.from_dict(payload["model"]),
-        prototypes=PrototypeSet(np.asarray(proto["coords"], dtype=np.float64),
-                                tuple(proto["class_map"]),
-                                bool(proto["includes_internal"])),
-        distance=DistanceSpec.from_dict(payload["distance"]),
-        taxonomy=Taxonomy.from_dict(payload["taxonomy"]),
-        head=None if payload.get("head") is None else LinearHead.from_dict(payload["head"]),
-    )
+    ckpt = Checkpoint.from_dict(payload)
     _validate_checkpoint(ckpt)
     return ckpt
 
@@ -728,6 +637,7 @@ def _validate_checkpoint(ckpt: Checkpoint) -> None:
     Posterior columns follow the taxonomy's leaf order, so the leaf entries
     of the class map must be exactly the taxonomy leaves, in that order.
     """
+    _validate_model(ckpt.model)
     tax, pi, m = ckpt.taxonomy, ckpt.prototypes, ckpt.model.output_dim
     bad = [nid for nid in pi.class_map if not 0 <= nid < tax.n_nodes]
     if bad:

@@ -6,9 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import Record
+
 
 @dataclass(frozen=True)
-class OptimizerSpec:
+class OptimizerSpec(Record):
     kind: str = "adam"  # "adam" | "sgd"
     lr: float = 1e-3
     momentum: float = 0.0   # sgd only
@@ -21,18 +23,6 @@ class OptimizerSpec:
             raise ValueError(f"unknown optimizer '{self.kind}'")
         if not self.lr > 0:
             raise ValueError("learning rate must be positive")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "lr": self.lr, "momentum": self.momentum,
-                "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps}
-
-    @staticmethod
-    def from_dict(d: dict) -> "OptimizerSpec":
-        return OptimizerSpec(kind=d.get("kind", "adam"), lr=float(d.get("lr", 1e-3)),
-                             momentum=float(d.get("momentum", 0.0)),
-                             beta1=float(d.get("beta1", 0.9)),
-                             beta2=float(d.get("beta2", 0.999)),
-                             eps=float(d.get("eps", 1e-8)))
 
 
 class Sgd:

@@ -8,12 +8,13 @@ between their nodes.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .formats import csv_text
 
 
 class TaxonomyError(ValueError):
@@ -374,8 +375,6 @@ def validate_metric(D: np.ndarray, tol: float = 0.0) -> list[MetricViolation]:
 
 def metric_to_csv(metric: FiniteMetric) -> str:
     """CSV text with a header row/column of class names."""
-    buf = io.StringIO()
-    buf.write("," + ",".join(metric.class_names) + "\n")
-    for name, row in zip(metric.class_names, metric.costs):
-        buf.write(name + "," + ",".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()
+    names = metric.class_names
+    return csv_text(["", *names],
+                    ([name, *row] for name, row in zip(names, metric.costs.tolist())))

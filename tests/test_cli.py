@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -115,6 +117,17 @@ class TestCmdEmbed:
         for name in ("prototypes.csv", "distortion.json"):
             assert (open(os.path.join(out1, name)).read()
                     == open(os.path.join(out2, name)).read())
+
+    @pytest.mark.parametrize("flags", [["--steps", "0"], ["--steps", "-3"], ["--dim", "0"],
+                                       ["--triplets", "0"], ["--lr", "0"], ["--lr", "-1"],
+                                       ["--lr", "nan"]])
+    def test_rejects_non_positive_numbers(self, tmp_path, capsys, toy_tax_file, flags):
+        out = tmp_path / "embed"
+        capsys.readouterr()
+        assert main(["embed", toy_tax_file, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
 
     def test_rank_regularizer_runs(self, tmp_path, toy_tax_file):
         out = str(tmp_path / "rank")
@@ -438,6 +451,13 @@ class TestRunConfig:
         again = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
+    def test_readme_example_round_trips(self):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                      encoding="utf-8").read()
+        block = readme.split("A run config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        cfg = RunConfig.from_dict(json.loads(block))
+        assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             RunConfig(train=pm.TrainConfig(), taxonomy_path="t", dataset_path="d",
@@ -456,6 +476,15 @@ def test_threads_flag_pins_blas_pools(tmp_path, monkeypatch, toy_tax_file):
     assert main(["--threads", "1", "cost", toy_tax_file, "--out", out]) == 0
     assert os.environ["OMP_NUM_THREADS"] == "1"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # `--threads` sets the BLAS variables, which only act before numpy loads
+    src = os.path.dirname(os.path.dirname(pm.__file__))
+    code = "import sys, protometric.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 def test_output_root_env(tmp_path, monkeypatch, toy_tax_file):

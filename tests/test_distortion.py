@@ -6,7 +6,8 @@ from scipy.optimize import minimize_scalar
 
 import protometric as pm
 from protometric import DegeneratePrototypesError, DistanceSpec, FiniteMetric, PrototypeSet
-from protometric.distortion import LM_MAX_UNKNOWNS, l2_scale, lm_refine, regularizer_loss
+from protometric.distortion import (LM_MAX_UNKNOWNS, _gauge_basis, l2_scale, lm_refine,
+                                    regularizer_loss)
 
 from conftest import (grid_search_scale, random_prototype_instance,
                       scaled_l1_sum)
@@ -377,7 +378,8 @@ class TestRegularizerLoss:
 
 
 def dense_lm_refine(coords, costs, iters=200):
-    """Reference LM polish: the dense P x (K*m) Jacobian built pair by pair."""
+    """Reference LM polish: the dense P x (K*m) Jacobian built pair by pair,
+    each step projected off the rigid motions as in `lm_refine`."""
     K, m = coords.shape
     iu, ju = np.triu_indices(K, k=1)
     t = costs[iu, ju]
@@ -395,6 +397,7 @@ def dense_lm_refine(coords, costs, iters=200):
         return 0.5 * float(r @ r), r, d
 
     val, r, d = loss(coords)
+    gauge = _gauge_basis(coords)
     lam = 1e-3
     for _ in range(iters):
         _, diff = distances(coords)
@@ -412,10 +415,12 @@ def dense_lm_refine(coords, costs, iters=200):
             except np.linalg.LinAlgError:
                 lam *= 3.0
                 continue
+            delta -= gauge @ (gauge.T @ delta)
             cand = coords + delta.reshape(K, m)
             v2, r2, d2 = loss(cand)
             if v2 < val:
                 coords, val, r, d = cand, v2, r2, d2
+                gauge = _gauge_basis(coords)
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break
@@ -438,6 +443,12 @@ class TestLmRefine:
             opt.step({"proto": coords}, {"proto": pm.disto_loss(pi, metric, EUC)[2]})
         return PrototypeSet(coords, tuple(range(metric.size)))
 
+    @staticmethod
+    def _tree27():
+        lines = [f"{p}{i}\t{p or 'root'}" for p in ["", *"012"] for i in range(3)]
+        lines += [f"{p}{i}{j}\t{p}{i}" for p in "012" for i in range(3) for j in range(3)]
+        return pm.cost_matrix(pm.parse_taxonomy("\n".join(lines) + "\n"))
+
     def test_equals_dense_oracle_on_exactly_embeddable_tree(self):
         # the unit star on 4 leaves is a regular tetrahedron in R^3
         metric = pm.cost_matrix(pm.parse_taxonomy("a\tr\nb\tr\nc\tr\nd\tr\n"))
@@ -447,9 +458,7 @@ class TestLmRefine:
         assert pm.scale_free_distortion(out, metric, EUC) < 1e-12
 
     def test_agrees_with_dense_oracle_on_27_leaf_tree(self):
-        lines = [f"{p}{i}\t{p or 'root'}" for p in ["", *"012"] for i in range(3)]
-        lines += [f"{p}{i}{j}\t{p}{i}" for p in "012" for i in range(3) for j in range(3)]
-        metric = pm.cost_matrix(pm.parse_taxonomy("\n".join(lines) + "\n"))
+        metric = self._tree27()
         assert metric.size == 27
         pi = self._adam_fit(metric, 2)
         got = lm_refine(pi, metric)
@@ -460,6 +469,15 @@ class TestLmRefine:
         assert a.distortion == pytest.approx(b.distortion, rel=1e-8)
         np.testing.assert_allclose(pair_ratios(got, metric)[1], pair_ratios(want, metric)[1],
                                    rtol=1e-6)
+
+    def test_start_rounding_does_not_move_the_result(self):
+        # H is singular along the rigid motions; unprojected steps let a
+        # 1e-15 change of the start move the coordinates by ~1e-4
+        metric = self._tree27()
+        pi = self._adam_fit(metric, 2)
+        nudged = pi.with_coords(pi.coords * (1 + 1e-15))
+        np.testing.assert_allclose(lm_refine(nudged, metric).coords,
+                                   lm_refine(pi, metric).coords, rtol=0, atol=1e-10)
 
     def test_above_the_cap_returns_input_unchanged(self):
         K = 65
