@@ -46,10 +46,9 @@ def run_arm(tax, metric, head, lam, regularizer, seed, args):
     ckpt = pm.Checkpoint(model=result.model, prototypes=result.prototypes,
                          distance=config.distance, taxonomy=tax, head=result.head)
     preds, _, _, _ = pm.predict(ckpt, test_set.features, "max-prob")
-    er = float(np.mean(preds != test_set.labels))
-    ac = float(np.mean(metric.costs[preds, test_set.labels]))
+    report = pm.evaluate(preds, test_set.labels, metric)
     sfd = pm.scale_free_distortion(result.prototypes, metric, config.distance)
-    return er, ac, sfd
+    return report.er, report.ac, sfd
 
 
 def main():

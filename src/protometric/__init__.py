@@ -21,11 +21,10 @@ _EXPORTS = {
     "distortion": "DegeneratePrototypesError DistortionReport PrototypeSet TripletBatch "
                   "disto_loss distortion distortion_report l2_scale optimal_scale_l1 "
                   "rank_loss sample_triplets scale_free_distortion",
-    "evaluation": "EvalReport PairDelta compare evaluate",
-    "geometry": "DistanceSpec NonDifferentiableError distance distance_gradient "
-                "pairwise_distances",
-    "inference": "Prediction PrototypeIndex build_index expected_costs predict "
-                 "predict_any_node predict_max_prob predict_min_expected_cost",
+    "evaluation": "EvalReport evaluate",
+    "geometry": "DistanceSpec",
+    "inference": "Prediction PrototypeIndex build_index predict predict_any_node "
+                 "predict_max_prob predict_min_expected_cost",
     "model": "Checkpoint EmbeddingModel LinearHead LossBreakdown TrainConfig TrainHistory "
              "TrainingDivergedError TrainResult data_loss finite_difference_check forward "
              "init_embedding_model leaf_prototype_rows load_checkpoint posterior "

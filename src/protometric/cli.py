@@ -9,13 +9,12 @@ the BLAS thread pools before numpy loads.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .formats import Record, csv_text, json_text, read_table
+from .formats import Record, csv_text, json_text, parse_json, read_table
 
 if TYPE_CHECKING:
     from .model import TrainConfig
@@ -147,7 +146,7 @@ def cmd_embed(args) -> int:
 
 def _load_run_config(args) -> RunConfig:
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = RunConfig.from_dict(json.load(fh))
+        cfg = RunConfig.from_dict(parse_json(fh.read()))
 
     def given(**flags):
         return {name: value for name, value in flags.items() if value is not None}
@@ -239,20 +238,19 @@ def _evaluate_checkpoint(ckpt, tax, dataset, scheme: str):
 
     preds, metric, _, _ = predict(dataclasses.replace(ckpt, taxonomy=tax),
                                   dataset.features, scheme)
+    labels, leaf_mask = dataset.labels, None
+    if scheme == "any-node":
+        labels = np.array(tax.leaf_ids, dtype=np.intp)[labels]
+        leaf_mask = np.array([tax.is_leaf(i) for i in range(tax.n_nodes)])
+    report = evaluate(preds, labels, metric, leaf_mask)
     if ckpt.head is None:
         leaf_pi = ckpt.prototypes.subset(leaf_prototype_rows(tax, ckpt.prototypes.class_map))
     elif np.unique(dataset.labels).size < len(tax.leaf_ids):
         leaf_pi = ckpt.prototypes  # a class is absent: keep the training means
     else:
         leaf_pi = class_mean_prototypes(ckpt.model, dataset, tax)
-    if scheme == "any-node":
-        labels = np.array(tax.leaf_ids, dtype=np.intp)[dataset.labels]
-        leaf_mask = np.array([tax.is_leaf(i) for i in range(tax.n_nodes)])
-        report = evaluate(preds, labels, metric, leaf_mask=leaf_mask)
-        disto = distortion_report(leaf_pi, cost_matrix(tax, "leaves-only"),
-                                  ckpt.distance)
-        return dataclasses.replace(report, distortion=disto)
-    return evaluate(preds, dataset.labels, metric, pi=leaf_pi, spec=ckpt.distance)
+    disto = distortion_report(leaf_pi, cost_matrix(tax, "leaves-only"), ckpt.distance)
+    return dataclasses.replace(report, distortion=disto)
 
 
 def _aggregate_reports(per_seed: list[dict], how: str) -> dict:

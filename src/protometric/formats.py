@@ -14,8 +14,10 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
+import re
 import sys
 import types
 import typing
@@ -28,6 +30,15 @@ class DataError(ValueError):
 def json_text(payload) -> str:
     """The text of every JSON file written: indent 2, sorted keys, final newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"JSON constant {name} is not allowed: numbers must be finite")
+
+
+def parse_json(text: str):
+    """The value of a JSON document; NaN, Infinity and -Infinity are rejected."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number",
@@ -62,33 +73,39 @@ def _fields(cls) -> dict:
 
 def _encode(value):
     if isinstance(value, tuple):
-        return list(value)
+        return [_encode(item) for item in value]
     if hasattr(value, "to_dict"):
         return value.to_dict()
     return value.tolist() if hasattr(value, "tolist") else value  # numpy arrays
 
 
-def _decode(hint, value, path: str):
+@functools.cache
+def _unwrap(hint):
+    """("optional", X) for X | None, ("tuple", X) for tuple[X, ...], else (None, hint)."""
     origin = typing.get_origin(hint)
-    if origin in (typing.Union, types.UnionType):  # X | None
-        if value is None:
-            return None
-        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-        return _decode(hint, value, path)
-    if origin is tuple:  # tuple[X, ...]
-        if not isinstance(value, list):
-            raise _wrong_type(path, "an array", value)
-        item = typing.get_args(hint)[0]
-        return tuple(_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        return "optional", inner
+    if origin is tuple:
+        return "tuple", typing.get_args(hint)[0]
+    return None, hint
+
+
+def _decode(hint, value, path: str):
     if hint in _SCALARS:
         takes, want = _SCALARS[hint]
         if type(value) not in takes:
             raise _wrong_type(path, want, value)
         return hint(value)
+    kind, inner = _unwrap(hint)
+    if kind == "optional":
+        return None if value is None else _decode(inner, value, path)
+    if kind == "tuple":
+        if not isinstance(value, list):
+            raise _wrong_type(path, "an array", value)
+        return tuple(_decode(inner, v, f"{path}[{i}]") for i, v in enumerate(value))
     if issubclass(hint, Record):
         return hint.from_dict(value, path)
-    if hasattr(hint, "from_dict"):  # a class with its own checks (Taxonomy)
-        return hint.from_dict(value)
     import numpy as np  # the remaining type, ndarray: float64 from nested number lists
 
     try:
@@ -97,6 +114,11 @@ def _decode(hint, value, path: str):
         array = None
     if array is None or array.dtype.kind not in "iuf":
         raise _wrong_type(path, "an array of numbers", value)
+    cells = value  # numpy reads true/false in a number array as 1/0
+    for _ in range(array.ndim - 1):
+        cells = itertools.chain.from_iterable(cells)
+    if bool in map(type, cells):
+        raise ValueError(f"{path!r} must be an array of numbers, got a boolean in it")
     return array.astype(np.float64, copy=False)
 
 
@@ -168,17 +190,26 @@ def read_table(source, text_column: str, required: bool = False):
     return texts, values
 
 
+_QUOTED = re.compile(r'[",\r\n]')
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
-    return float.__repr__(value) if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, str) and _QUOTED.search(value):
+        return '"' + value.replace('"', '""') + '"'
+    return str(value)
 
 
 def csv_text(header, rows) -> str:
-    """CSV text of a table, cells unquoted: floats in `repr` form, None empty.
+    """CSV text of a table: floats in `repr` form, None empty, "\\n" line ends.
 
-    Rows hold Python scalars (`ndarray.tolist()`), not numpy scalars.
+    A text cell holding a comma, a quote or a line break is quoted, its
+    quotes doubled (the minimal quoting `csv.reader` reads back); no other
+    cell is. Rows hold Python scalars (`ndarray.tolist()`), not numpy scalars.
     """
-    lines = [",".join(header)]
+    lines = [",".join(map(_cell, header))]
     lines += [",".join(map(_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"

@@ -1,9 +1,10 @@
 """Cost-aware prediction schemes over trained prototypes or a linear head.
 
-`predict` classifies a feature batch from a checkpoint: one forward pass,
-the leaf posterior (softmin of prototype distances, or softmax of the head
-logits), then the scheme's decision over the cost matrix. The single-sample
-`predict_*` functions run the same decision code on one embedding.
+`predict` classifies a feature batch from a checkpoint: the leaf posterior
+(`model.leaf_posterior`: softmin of prototype distances, or softmax of the
+head logits), then the scheme's decision over the cost matrix. The
+single-sample `predict_*` functions run the same decision code on one
+embedding.
 
 Nearest-prototype lookup is an exact scan, ties broken towards the lowest
 prototype index. All supported distance kinds are strictly increasing in
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# forward, posterior and cost_matrix are looked up through their home modules
-# at call time, so that instrumentation rebinding them there sees every call.
+# leaf_posterior, posterior and cost_matrix are looked up through their home
+# modules at call time, so that instrumentation rebinding them there sees
+# every call.
 from . import geometry, model, taxonomy
 from .distortion import PrototypeSet
 from .geometry import DistanceSpec
@@ -95,12 +97,9 @@ def predict(ckpt: model.Checkpoint, X, scheme: str):
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'")
     tax = ckpt.taxonomy
-    E = model.forward(ckpt.model, X)
-    if ckpt.head is not None:
-        P = model.softmax(model.head_logits(ckpt.head, E))
-    else:
-        rows = model.leaf_prototype_rows(tax, ckpt.prototypes.class_map)
-        P = model.posterior(E, ckpt.prototypes.coords[rows], ckpt.distance)
+    rows = model.leaf_prototype_rows(tax, ckpt.prototypes.class_map)
+    P = model.leaf_posterior(ckpt.model, X, ckpt.prototypes.coords[rows],
+                             ckpt.distance, ckpt.head)
     if scheme == "any-node":
         metric = taxonomy.cost_matrix(tax, "all-nodes")
         costs = _any_node_costs(metric, tax)
@@ -142,16 +141,6 @@ def predict_max_prob(e, index: PrototypeIndex, pi: PrototypeSet,
     idx, post, _ = _predict_one(e, pi, spec, None, "max-prob")
     return Prediction(node_id=pi.class_map[idx], index=idx, scheme="max-prob",
                       posterior=post)
-
-
-def expected_costs(post: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """EC(k) = sum_l posterior_l * costs[k, l] for each candidate row k."""
-    post = np.asarray(post, dtype=np.float64)
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 2 or costs.shape[1] != post.shape[0]:
-        raise ValueError(f"cost rows must cover candidates and columns the "
-                         f"posterior support, got {costs.shape} vs {post.shape}")
-    return costs @ post
 
 
 def predict_min_expected_cost(e, pi: PrototypeSet, spec: DistanceSpec,

@@ -10,14 +10,13 @@ provides the matching numerical oracle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .data import Dataset
 from .distortion import PrototypeSet, regularizer_loss
-from .formats import Record, csv_text, json_text
+from .formats import Record, csv_text, json_text, parse_json
 from .geometry import DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pairwise_sqnorms
 from .optim import OptimizerSpec, make_optimizer
 from .taxonomy import FiniteMetric, Taxonomy, cost_matrix
@@ -183,10 +182,22 @@ def _backward(model: EmbeddingModel, cache, dE: np.ndarray) -> np.ndarray:
 # Losses
 # ---------------------------------------------------------------------------
 
+def _log_sum_exp(logits: np.ndarray):
+    """Row-wise max-shifted log-sum-exp of (n, k) logits.
+
+    Returns (lse, ex, total): the (n, 1) log-sum-exp, exp(logits - row max)
+    and its (n, 1) row sums, so that ex / total is the softmax.
+    """
+    shift = logits.max(axis=1, keepdims=True)
+    ex = np.exp(logits - shift)
+    total = ex.sum(axis=1, keepdims=True)
+    return shift + np.log(total), ex, total
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of (n, k) logits, max-shifted for stability."""
-    p = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
+    _, p, total = _log_sum_exp(logits)
+    p /= total
     return p
 
 
@@ -223,13 +234,10 @@ def data_loss(X, z, model: EmbeddingModel, pi: PrototypeSet, spec: DistanceSpec,
     E, cache = _forward_cache(model, X)
     sq = pairwise_sqnorms(E, P)
     d = dist_from_sqnorm(spec, sq)
-    neg = -d
-    shift = neg.max(axis=1, keepdims=True)
-    lse = shift[:, 0] + np.log(np.exp(neg - shift).sum(axis=1))
-    value = float(np.mean(d[np.arange(n), z] + lse))
+    lse, p, total = _log_sum_exp(-d)
+    value = float(np.mean(d[np.arange(n), z] + lse[:, 0]))
 
-    p = np.exp(neg - shift)
-    p /= p.sum(axis=1, keepdims=True)
+    p /= total
     dL_dd = -p / n
     dL_dd[np.arange(n), z] += 1.0 / n
 
@@ -246,10 +254,7 @@ def soft_label_targets(metric: FiniteMetric, z: int, beta: float) -> np.ndarray:
     """Softmin-of-costs target vector for true class z (sharpness beta)."""
     if not beta > 0:
         raise ValueError("beta must be positive")
-    logits = -beta * metric.costs[:, z]
-    logits = logits - logits.max()
-    t = np.exp(logits)
-    return t / t.sum()
+    return softmax(-beta * metric.costs[None, :, z])[0]
 
 
 @dataclass(frozen=True)
@@ -363,9 +368,7 @@ def _head_loss(X, z, model: EmbeddingModel, head: LinearHead,
     n = X.shape[0]
     E, cache = _forward_cache(model, X)
     logits = head_logits(head, E)
-    shift = logits.max(axis=1, keepdims=True)
-    lse = shift[:, 0] + np.log(np.exp(logits - shift).sum(axis=1))
-    logp = logits - lse[:, None]
+    logp = logits - _log_sum_exp(logits)[0]
     if target_table is None:
         T = np.zeros_like(logits)
         T[np.arange(n), z] = 1.0
@@ -436,17 +439,26 @@ def class_mean_prototypes(model: EmbeddingModel, dataset: Dataset,
     return PrototypeSet(means, tax.leaf_ids)
 
 
-def _predict_leaf_indices(model, X, config, proto_leaf=None, head=None,
-                          chunk=4096) -> np.ndarray:
-    preds = []
-    for start in range(0, X.shape[0], chunk):
-        E = forward(model, X[start:start + chunk])
-        if head is not None:
-            preds.append(np.argmax(head_logits(head, E), axis=1))
-        else:
-            d = dist_from_sqnorm(config.distance, pairwise_sqnorms(E, proto_leaf))
-            preds.append(np.argmin(d, axis=1))
-    return np.concatenate(preds)
+def leaf_posterior(model: EmbeddingModel, X, proto_leaf: np.ndarray | None,
+                   spec: DistanceSpec, head: LinearHead | None = None,
+                   block: int | None = None) -> np.ndarray:
+    """(n, K) leaf posterior of feature rows: the softmax of the head logits
+    with a head, else the softmin of the distances to the leaf prototypes
+    `proto_leaf` (taxonomy leaf order).
+
+    `block` rows at a time bound the (block, K, m) distance temporary; None
+    takes all rows at once. BLAS may round a short block differently from
+    the same rows inside a long one, so the bytes depend on `block`.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    step = block or n or 1
+    blocks = []
+    for start in range(0, n or 1, step):  # one empty block when n == 0
+        E = forward(model, X[start:start + step])
+        blocks.append(softmax(head_logits(head, E)) if head is not None
+                      else posterior(E, proto_leaf, spec))
+    return np.concatenate(blocks)
 
 
 def _fit_prototypes_alone(coords, metric_reg, config, rng, max_steps=10_000,
@@ -558,7 +570,8 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
         l_reg = sum_reg / n_batches
         s_star = sum_sstar / n_sstar if n_sstar else None
         proto_leaf = proto[leaf_rows] if proto is not None else None
-        preds = _predict_leaf_indices(model, X_all, config, proto_leaf, head)
+        P = leaf_posterior(model, X_all, proto_leaf, config.distance, head, block=4096)
+        preds = np.argmax(P, axis=1)  # ties go to the lowest index
         er = float(np.mean(preds != z_all))
         ac = float(np.mean(metric.costs[preds, z_all]))
         records.append(EpochRecord(epoch=epoch, l_data=l_data, l_reg=l_reg,
@@ -622,7 +635,7 @@ def save_checkpoint(path, model: EmbeddingModel, prototypes: PrototypeSet,
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = parse_json(fh.read())
     version = payload.pop("format_version", None) if isinstance(payload, dict) else None
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")

@@ -9,12 +9,11 @@ between their nodes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import csv_text
+from .formats import Record, csv_text, parse_json
 
 
 class TaxonomyError(ValueError):
@@ -22,22 +21,25 @@ class TaxonomyError(ValueError):
 
 
 @dataclass(frozen=True)
-class TaxonomyNode:
-    node_id: int
+class TaxonomyNode(Record):
+    node_id: int = field(metadata={"key": "id"})
     name: str
     parent: int | None
     weight: float = 1.0  # weight of the edge to the parent; unused on the root
 
 
-class Taxonomy:
-    """Immutable rooted tree of class nodes.
+@dataclass(frozen=True, eq=False)
+class Taxonomy(Record):
+    """Immutable rooted tree of class nodes; JSON form ``{"nodes": [...]}``.
 
     Node ids are consecutive integers in document order (order of first
     appearance in the source file). Exactly one node has no parent.
     """
 
-    def __init__(self, nodes: Sequence[TaxonomyNode]):
-        nodes = tuple(nodes)
+    nodes: tuple[TaxonomyNode, ...]
+
+    def __post_init__(self):
+        nodes = tuple(self.nodes)
         if not nodes:
             raise TaxonomyError("no nodes")
         for pos, node in enumerate(nodes):
@@ -57,6 +59,9 @@ class Taxonomy:
         if len(set(names)) != len(names):
             dup = sorted({m for m in names if names.count(m) > 1})
             raise TaxonomyError(f"duplicate names: {', '.join(dup)}")
+        broken = [name for name in names if "\n" in name or "\r" in name]
+        if broken:  # CSV reading would split such a cell into lines
+            raise TaxonomyError(f"node name {broken[0]!r} holds a line break")
         roots = [n.node_id for n in nodes if n.parent is None]
         if len(roots) == 0:
             raise TaxonomyError("cycle detected: every node has a parent, no root")
@@ -64,9 +69,6 @@ class Taxonomy:
             raise TaxonomyError(
                 "multiple roots: " + ", ".join(nodes[r].name for r in roots)
             )
-        self._nodes = nodes
-        self._root = roots[0]
-        self._name_to_id = {n.name: n.node_id for n in nodes}
 
         # Reachability check doubles as cycle detection: following parent
         # links from any node must land on the root within n steps.
@@ -83,20 +85,14 @@ class Taxonomy:
                     )
             if n.parent is not None:
                 children[n.parent].append(n.node_id)
-        self._children = tuple(tuple(c) for c in children)
-        self._leaf_ids = tuple(n.node_id for n in nodes if not children[n.node_id])
-
-    @property
-    def nodes(self) -> tuple[TaxonomyNode, ...]:
-        return self._nodes
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_children", tuple(tuple(c) for c in children))
+        object.__setattr__(self, "_leaf_ids",
+                           tuple(n.node_id for n in nodes if not children[n.node_id]))
 
     @property
     def n_nodes(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def root_id(self) -> int:
-        return self._root
+        return len(self.nodes)
 
     @property
     def leaf_ids(self) -> tuple[int, ...]:
@@ -105,11 +101,11 @@ class Taxonomy:
 
     @property
     def leaf_names(self) -> tuple[str, ...]:
-        return tuple(self._nodes[i].name for i in self._leaf_ids)
+        return tuple(self.nodes[i].name for i in self._leaf_ids)
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(n.name for n in self._nodes)
+        return tuple(n.name for n in self.nodes)
 
     def children(self, node_id: int) -> tuple[int, ...]:
         return self._children[node_id]
@@ -117,41 +113,14 @@ class Taxonomy:
     def is_leaf(self, node_id: int) -> bool:
         return not self._children[node_id]
 
-    def id_of(self, name: str) -> int:
-        try:
-            return self._name_to_id[name]
-        except KeyError:
-            raise TaxonomyError(f"unknown class name '{name}'") from None
-
     def level(self, node_id: int) -> int:
         """Edge count from the root (root is level 0)."""
         steps = 0
         cur = node_id
-        while self._nodes[cur].parent is not None:
-            cur = self._nodes[cur].parent  # type: ignore[assignment]
+        while self.nodes[cur].parent is not None:
+            cur = self.nodes[cur].parent  # type: ignore[assignment]
             steps += 1
         return steps
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": [
-                {"id": n.node_id, "name": n.name, "parent": n.parent, "weight": n.weight}
-                for n in self._nodes
-            ]
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "Taxonomy":
-        try:
-            nodes = [
-                TaxonomyNode(int(d["id"]), str(d["name"]),
-                             None if d["parent"] is None else int(d["parent"]),
-                             float(d.get("weight", 1.0)))
-                for d in payload["nodes"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise TaxonomyError(f"malformed taxonomy dict: {exc}") from exc
-        return Taxonomy(nodes)
 
     def __repr__(self) -> str:
         return f"Taxonomy({self.n_nodes} nodes, {len(self._leaf_ids)} leaves)"
@@ -177,12 +146,6 @@ class FiniteMetric:
     @property
     def size(self) -> int:
         return len(self.class_names)
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.class_names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown class name '{name}'") from None
 
 
 def parse_taxonomy(text: str, format: str = "edge-list") -> Taxonomy:
@@ -249,7 +212,7 @@ def _parse_edge_list(text: str) -> Taxonomy:
 
 def _parse_json_tree(text: str) -> Taxonomy:
     try:
-        payload = json.loads(text)
+        payload = parse_json(text)
     except json.JSONDecodeError as exc:
         raise TaxonomyError(f"invalid JSON: {exc}") from exc
 

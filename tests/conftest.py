@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import protometric as pm
+from protometric.geometry import (EUCLIDEAN, DistanceSpec, dist_from_sqnorm,
+                                  grad_weight_from_sqnorm, pairwise_sqnorms)
 
 # Six nodes, three leaves; the toy hierarchy used across the suite.
 TOY_EDGE_LIST = "a1\tA\na2\tA\nb1\tB\nA\troot\nB\troot\n"
@@ -101,3 +103,46 @@ def random_prototype_instance(K: int, m: int, rng: np.random.Generator):
     metric = random_leaf_metric(K, rng)
     coords = rng.standard_normal((K, m))
     return pm.PrototypeSet(coords, tuple(range(K))), metric
+
+
+# ---------------------------------------------------------------------------
+# Scalar distance reference for the vectorised kernels in protometric.geometry
+# ---------------------------------------------------------------------------
+
+class NonDifferentiableError(ArithmeticError):
+    """Euclidean gradient requested at coincident points.
+
+    The vectorised kernels substitute a zero vector there (a valid
+    subgradient at the kink); the scalar reference raises instead.
+    """
+
+
+def _check_pair(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape or u.ndim != 1:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    return u, v
+
+
+def distance(spec: DistanceSpec, u, v) -> float:
+    """d(u, v) for the given kind; 0 iff u == v, symmetric in (u, v)."""
+    u, v = _check_pair(u, v)
+    diff = u - v
+    return float(dist_from_sqnorm(spec, diff @ diff))
+
+
+def distance_gradient(spec: DistanceSpec, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic (grad_u, grad_v) of distance(spec, u, v); grad_v = -grad_u."""
+    u, v = _check_pair(u, v)
+    diff = u - v
+    sq = diff @ diff
+    if spec.kind == EUCLIDEAN and sq == 0.0:
+        raise NonDifferentiableError("euclidean distance is non-differentiable at u == v")
+    g = grad_weight_from_sqnorm(spec, sq) * diff
+    return g, -g
+
+
+def pairwise_distances(spec: DistanceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(n, k) matrix of d(X[i], Y[j])."""
+    return dist_from_sqnorm(spec, pairwise_sqnorms(X, Y))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -214,6 +216,28 @@ class TestCmdTrain:
         assert echoed["train"]["head"] == "cross-entropy"
         assert echoed["seeds"] == [2]
         assert os.path.exists(os.path.join(out_dir, "checkpoint_seed2.json"))
+
+    def test_csv_quotes_awkward_class_names(self, tmp_path):
+        tax = tmp_path / "awkward.tsv"
+        tax.write_text('a,b\tA\n"q"\tA\nc\troot\nA\troot\n')
+        names = ["a,b", '"q"', "c"]
+        cost = str(tmp_path / "cost.csv")
+        assert main(["cost", str(tax), "--out", cost]) == 0
+        text = open(cost).read()
+        assert text.split("\n")[0] == ',"a,b","""q""",c'
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["", *names]
+        assert [row[0] for row in rows[1:]] == names
+        data = synth_csv(tmp_path, str(tax), per_class=8, dims=3)
+        labels = [row[-1] for row in csv.reader(open(data))][1:]
+        assert sorted(set(labels)) == sorted(names)
+        out_dir = str(tmp_path / "run")
+        config = write_config(tmp_path, str(tax), data, out_dir, train={"epochs": 2})
+        assert main(["train", config]) == 0
+        confusion = list(csv.reader(open(os.path.join(out_dir, "confusion_seed0.csv"))))
+        assert confusion[0][1:] == names
+        protos = list(csv.reader(open(os.path.join(out_dir, "prototypes_seed0.csv"))))
+        assert [row[0] for row in protos[1:]] == names
 
     def test_missing_dataset_exits_2(self, tmp_path, four_leaf_file):
         config = write_config(tmp_path, four_leaf_file,

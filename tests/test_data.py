@@ -178,3 +178,23 @@ class TestDatasetValidation:
     def test_rejects_empty(self, toy_tax):
         with pytest.raises(DataError, match="non-empty"):
             pm.Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), toy_tax.leaf_names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.text(alphabet='ab,"\n \t'), st.floats(allow_nan=False),
+                                   st.integers(), st.none()),
+                         min_size=2, max_size=4), min_size=1, max_size=4))
+def test_csv_text_quotes_as_csv_writer_and_reads_back(rows):
+    # minimal quoting, byte for byte as csv.writer(lineterminator="\n") writes it
+    import csv
+    import io
+
+    from protometric.formats import csv_text
+
+    header, *body = rows
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *body])
+    assert csv_text(header, body) == out.getvalue()
+    back = list(csv.reader(io.StringIO(csv_text(header, body))))
+    assert back == [["" if c is None else repr(c) if isinstance(c, float) else str(c)
+                     for c in row] for row in [header, *body]]

@@ -9,7 +9,7 @@ from protometric import DegeneratePrototypesError, DistanceSpec, FiniteMetric, P
 from protometric.distortion import (LM_MAX_UNKNOWNS, _gauge_basis, l2_scale, lm_refine,
                                     regularizer_loss)
 
-from conftest import (grid_search_scale, random_prototype_instance,
+from conftest import (grid_search_scale, pairwise_distances, random_prototype_instance,
                       scaled_l1_sum)
 
 EUC = DistanceSpec("euclidean")
@@ -302,7 +302,7 @@ class TestRankLoss:
         t = batch.triplets
 
         def soft_rankings(p):
-            d = pm.pairwise_distances(EUC, p.coords, p.coords)
+            d = pairwise_distances(EUC, p.coords, p.coords)
             return 1.0 / (1.0 + np.exp(-(d[t[:, 0], t[:, 1]] - d[t[:, 0], t[:, 2]])))
 
         base = soft_rankings(pi) > 0.5

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -82,13 +81,22 @@ class TestEvaluate:
             report = pm.evaluate(preds, labels, toy_metric)
             assert (report.ac == 0.0) == (report.er == 0.0)
 
-    def test_distortion_report_attached(self, toy_metric):
+    def test_distortion_report_attached(self, toy_tax, toy_metric):
+        # the CLI attaches the leaves-only report of the leaf prototypes once,
+        # whatever the scheme
+        from protometric.cli import _evaluate_checkpoint
+
         rng = np.random.default_rng(4)
-        pi = PrototypeSet(rng.standard_normal((3, 2)), (0, 2, 3))
-        labels = np.array([0, 1, 2])
-        report = pm.evaluate(labels, labels, toy_metric, pi=pi, spec=EUC)
-        assert report.distortion is not None
-        assert report.distortion.scale_free_distortion <= report.distortion.distortion
+        pi = PrototypeSet(rng.standard_normal((3, 2)), toy_tax.leaf_ids)
+        model = pm.init_embedding_model("identity", 2, 2)
+        ckpt = pm.Checkpoint(model=model, prototypes=pi, distance=EUC, taxonomy=toy_tax)
+        dataset = pm.Dataset(rng.standard_normal((6, 2)), np.array([0, 1, 2] * 2),
+                             toy_tax.leaf_names)
+        expected = pm.distortion_report(pi, toy_metric, EUC)
+        assert expected.scale_free_distortion <= expected.distortion
+        for scheme in ("max-prob", "min-ec", "any-node"):
+            report = _evaluate_checkpoint(ckpt, toy_tax, dataset, scheme)
+            assert report.distortion == expected
 
 
 class TestAnyNodeVariants:
@@ -101,7 +109,7 @@ class TestAnyNodeVariants:
     def test_internal_predictions_counted(self, toy_tax):
         metric_all, leaf_mask, label_map = self._all_nodes_setup(toy_tax)
         labels = label_map[np.array([0, 0, 1, 2])]
-        a_id = toy_tax.id_of("A")
+        a_id = toy_tax.names.index("A")
         preds = np.array([labels[0], a_id, labels[2], a_id])
         report = pm.evaluate(preds, labels, metric_all, leaf_mask=leaf_mask)
         # plain ER: 2 wrong; L-ER: internal predictions are always wrong
@@ -135,67 +143,10 @@ class TestAnyNodeVariants:
 
     def test_labels_must_be_leaves(self, toy_tax):
         metric_all, leaf_mask, _ = self._all_nodes_setup(toy_tax)
-        root = toy_tax.root_id
+        root = toy_tax.names.index("root")
         with pytest.raises(ValueError, match="leaf"):
             pm.evaluate(np.array([0]), np.array([root]), metric_all,
                         leaf_mask=leaf_mask)
-
-
-class TestCompare:
-    def test_identical_reports_all_zero(self, toy_metric):
-        rng = np.random.default_rng(7)
-        labels = rng.integers(0, 3, 60)
-        preds = rng.integers(0, 3, 60)
-        report = pm.evaluate(preds, labels, toy_metric)
-        deltas = pm.compare(report, report, toy_metric)
-        assert len(deltas) == 3  # unordered pairs of 3 classes
-        assert all(d.rel_change == 0.0 for d in deltas)
-
-    def test_eighty_percent_drop(self, toy_metric):
-        # 10 confusions between (a1, a2) in A, 2 in B -> -80% for the pair
-        labels_a = np.array([0] * 10 + [1] * 10)
-        preds_a = np.array([1] * 10 + [1] * 10)
-        labels_b = np.array([0] * 10 + [1] * 10)
-        preds_b = np.array([1] * 2 + [0] * 8 + [1] * 10)
-        ra = pm.evaluate(preds_a, labels_a, toy_metric)
-        rb = pm.evaluate(preds_b, labels_b, toy_metric)
-        deltas = pm.compare(ra, rb, toy_metric)
-        pair = next(d for d in deltas if {d.class_a, d.class_b} == {"a1", "a2"})
-        assert pair.count_a == 10
-        assert pair.count_b == 2
-        assert pair.rel_change == pytest.approx(-0.8)
-        assert pair.cost == 2.0
-        assert deltas[0].rel_change <= deltas[-1].rel_change
-
-    def test_new_confusions_are_infinite(self, toy_metric):
-        labels = np.array([0, 1])
-        ra = pm.evaluate(labels, labels, toy_metric)
-        rb = pm.evaluate(np.array([1, 1]), labels, toy_metric)
-        deltas = pm.compare(ra, rb, toy_metric)
-        pair = next(d for d in deltas if {d.class_a, d.class_b} == {"a1", "a2"})
-        assert math.isinf(pair.rel_change)
-
-    def test_random_counts_match_recompute(self, toy_metric):
-        rng = np.random.default_rng(8)
-        labels = rng.integers(0, 3, 200)
-        pa = rng.integers(0, 3, 200)
-        pb = rng.integers(0, 3, 200)
-        ra = pm.evaluate(pa, labels, toy_metric)
-        rb = pm.evaluate(pb, labels, toy_metric)
-        for d in pm.compare(ra, rb, toy_metric):
-            i = toy_metric.class_names.index(d.class_a)
-            j = toy_metric.class_names.index(d.class_b)
-            ca = int(np.sum((labels == i) & (pa == j)) + np.sum((labels == j) & (pa == i)))
-            cb = int(np.sum((labels == i) & (pb == j)) + np.sum((labels == j) & (pb == i)))
-            assert (d.count_a, d.count_b) == (ca, cb)
-
-    def test_mismatched_class_sets(self, toy_metric, toy_tax):
-        other = pm.cost_matrix(toy_tax, "all-nodes")
-        labels = np.array([0, 1])
-        ra = pm.evaluate(labels, labels, toy_metric)
-        rb = pm.evaluate(labels, labels, other)
-        with pytest.raises(ValueError, match="class set"):
-            pm.compare(ra, rb, toy_metric)
 
 
 class TestSerialization:
@@ -203,7 +154,7 @@ class TestSerialization:
         labels = np.array([0, 1, 2, 0])
         preds = np.array([0, 1, 2, 2])
         report = pm.evaluate(preds, labels, toy_metric)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload["er"] == 0.25
         assert payload["ac"] == 1.0
         assert payload["n"] == 4

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protometric as pm
-from protometric import DistanceSpec, NonDifferentiableError
+from protometric import DistanceSpec
+
+from conftest import NonDifferentiableError, distance, distance_gradient, pairwise_distances
 
 EUC = DistanceSpec("euclidean")
 SQ = DistanceSpec("squared-euclidean")
@@ -15,32 +17,32 @@ finite_vec = st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=
 
 class TestDistanceValues:
     def test_euclidean_345(self):
-        assert pm.distance(EUC, np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
+        assert distance(EUC, np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
 
     def test_squared(self):
-        assert pm.distance(SQ, np.array([1.0, 1.0]), np.array([0.0, 0.0])) == 2.0
+        assert distance(SQ, np.array([1.0, 1.0]), np.array([0.0, 0.0])) == 2.0
 
     def test_huber_at_zero(self):
-        assert pm.distance(HUB, np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
+        assert distance(HUB, np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
 
     def test_huber_at_unit_gap(self):
         # 0.1 * (sqrt(101) - 1), evaluated directly
-        got = pm.distance(HUB, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        got = distance(HUB, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
         assert got == pytest.approx(0.1 * (np.sqrt(101) - 1), rel=1e-12)
         assert got == pytest.approx(0.904987562112089, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            pm.distance(EUC, np.zeros(2), np.zeros(3))
+            distance(EUC, np.zeros(2), np.zeros(3))
 
     @given(finite_vec)
     def test_zero_iff_equal_and_symmetric(self, u):
         u = np.asarray(u)
         v = u + 1.0
         for spec in (EUC, SQ, HUB):
-            assert pm.distance(spec, u, u) == 0.0
-            assert pm.distance(spec, u, v) == pm.distance(spec, v, u)
-            assert pm.distance(spec, u, v) > 0.0
+            assert distance(spec, u, u) == 0.0
+            assert distance(spec, u, v) == distance(spec, v, u)
+            assert distance(spec, u, v) > 0.0
 
 
 class TestHuberShape:
@@ -48,7 +50,7 @@ class TestHuberShape:
     def test_within_delta_of_euclidean(self, norm, delta):
         spec = DistanceSpec("huber", delta=delta)
         u = np.array([norm, 0.0])
-        h = pm.distance(spec, u, np.zeros(2))
+        h = distance(spec, u, np.zeros(2))
         assert abs(h - norm) <= delta + 1e-12
 
     def test_small_gap_is_half_squared_over_delta(self):
@@ -56,19 +58,19 @@ class TestHuberShape:
         for delta in (0.05, 0.1, 1.0):
             spec = DistanceSpec("huber", delta=delta)
             norm = 1e-3 * delta
-            h = pm.distance(spec, np.array([norm, 0.0]), np.zeros(2))
+            h = distance(spec, np.array([norm, 0.0]), np.zeros(2))
             assert h * 2 * delta / norm**2 == pytest.approx(1.0, rel=1e-4)
 
     def test_monotone_in_norm(self):
         norms = np.linspace(0.01, 20, 200)
         for spec in (EUC, SQ, HUB):
-            vals = [pm.distance(spec, np.array([r, 0.0]), np.zeros(2)) for r in norms]
+            vals = [distance(spec, np.array([r, 0.0]), np.zeros(2)) for r in norms]
             assert np.all(np.diff(vals) > 0)
 
 
 class TestGradients:
     def test_squared_simple(self):
-        g_u, g_v = pm.distance_gradient(SQ, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+        g_u, g_v = distance_gradient(SQ, np.array([1.0, 0.0]), np.array([0.0, 0.0]))
         np.testing.assert_array_equal(g_u, [2.0, 0.0])
         np.testing.assert_array_equal(g_v, [-2.0, 0.0])
 
@@ -76,21 +78,21 @@ class TestGradients:
         rng = np.random.default_rng(0)
         u, v = rng.standard_normal(4), rng.standard_normal(4)
         for spec in (EUC, SQ, HUB):
-            g_u, g_v = pm.distance_gradient(spec, u, v)
+            g_u, g_v = distance_gradient(spec, u, v)
             np.testing.assert_array_equal(g_v, -g_u)
 
     def test_swap_antisymmetry(self):
         rng = np.random.default_rng(1)
         u, v = rng.standard_normal(3), rng.standard_normal(3)
         for spec in (EUC, SQ, HUB):
-            g_uv, _ = pm.distance_gradient(spec, u, v)
-            g_vu, _ = pm.distance_gradient(spec, v, u)
+            g_uv, _ = distance_gradient(spec, u, v)
+            g_vu, _ = distance_gradient(spec, v, u)
             np.testing.assert_allclose(g_uv, -g_vu, atol=1e-15)
 
     def test_euclidean_at_coincident_points_raises(self):
         u = np.array([1.0, 2.0])
         with pytest.raises(NonDifferentiableError):
-            pm.distance_gradient(EUC, u, u.copy())
+            distance_gradient(EUC, u, u.copy())
 
     @pytest.mark.parametrize("spec,tol", [(HUB, 1e-5), (SQ, 1e-5), (EUC, 1e-4)])
     def test_matches_finite_differences(self, spec, tol):
@@ -102,8 +104,8 @@ class TestGradients:
 
             def evaluate(flat):
                 uu, vv = flat[:4], flat[4:]
-                g_u, g_v = pm.distance_gradient(spec, uu, vv)
-                return pm.distance(spec, uu, vv), np.concatenate([g_u, g_v])
+                g_u, g_v = distance_gradient(spec, uu, vv)
+                return distance(spec, uu, vv), np.concatenate([g_u, g_v])
 
             worst = max(worst, pm.finite_difference_check(
                 evaluate, np.concatenate([u, v]), h=1e-6))
@@ -127,8 +129,8 @@ def test_pairwise_distances_agree_with_scalar():
     X = rng.standard_normal((5, 3))
     Y = rng.standard_normal((4, 3))
     for spec in (EUC, SQ, HUB):
-        table = pm.pairwise_distances(spec, X, Y)
+        table = pairwise_distances(spec, X, Y)
         for i in range(5):
             for j in range(4):
                 assert table[i, j] == pytest.approx(
-                    pm.distance(spec, X[i], Y[j]), rel=1e-12, abs=1e-15)
+                    distance(spec, X[i], Y[j]), rel=1e-12, abs=1e-15)

@@ -3,8 +3,9 @@ import pytest
 
 import protometric as pm
 from protometric import DistanceSpec, PrototypeSet
+from protometric.inference import _decide
 
-from conftest import random_taxonomy_with_leaves
+from conftest import distance, random_taxonomy_with_leaves
 
 EUC = DistanceSpec("euclidean")
 
@@ -113,29 +114,37 @@ class TestPredictMaxProb:
 
 
 class TestExpectedCosts:
+    """EC[i, k] = sum_l P[i, l] * costs[k, l], the one product in `_decide`."""
+
     def test_one_hot_posterior_reads_cost_column(self):
         D = np.array([[0.0, 2.0, 4.0], [2.0, 0.0, 4.0], [4.0, 4.0, 0.0]])
         post = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(pm.expected_costs(post, D), D[:, 1])
+        _, ec = _decide(post[None, :], D, "min-ec")
+        np.testing.assert_array_equal(ec[0], D[:, 1])
 
     def test_uniform_metric_is_one_minus_p(self):
         K = 5
         D = np.ones((K, K)) - np.eye(K)
         rng = np.random.default_rng(6)
-        post = rng.dirichlet(np.ones(K))
-        np.testing.assert_allclose(pm.expected_costs(post, D), 1.0 - post,
-                                   rtol=1e-12)
+        P = rng.dirichlet(np.ones(K), size=4)
+        _, ec = _decide(P, D, "min-ec")
+        np.testing.assert_allclose(ec, 1.0 - P, rtol=1e-12)
 
     def test_matches_double_loop_oracle(self):
+        # more posterior classes (6) than candidates (4), as in any-node
         rng = np.random.default_rng(7)
         D = np.abs(rng.standard_normal((4, 6)))
         post = rng.dirichlet(np.ones(6))
         expected = [sum(post[l] * D[k, l] for l in range(6)) for k in range(4)]
-        np.testing.assert_allclose(pm.expected_costs(post, D), expected, rtol=1e-12)
+        preds, ec = _decide(post[None, :], D, "any-node")
+        np.testing.assert_allclose(ec[0], expected, rtol=1e-12)
+        assert preds[0] == int(np.argmin(expected))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            pm.expected_costs(np.ones(3) / 3, np.zeros((2, 4)))
+        metric = pm.FiniteMetric(("a", "b"), np.ones((2, 2)) - np.eye(2))
+        pi = PrototypeSet(np.eye(3), (0, 1, 2))
+        with pytest.raises(ValueError, match="size"):
+            pm.predict_min_expected_cost(np.zeros(3), pi, EUC, metric)
 
 
 class TestPredictMinExpectedCost:
@@ -253,7 +262,7 @@ def test_kd_tree_consistent_for_monotone_kinds():
         for _ in range(100):
             e = rng.standard_normal(4)
             kd_idx = index.query(e)[0]
-            dists = [pm.distance(spec, e, coords[k]) for k in range(20)]
+            dists = [distance(spec, e, coords[k]) for k in range(20)]
             assert kd_idx == int(np.argmin(dists))
 
 

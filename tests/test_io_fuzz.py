@@ -188,3 +188,52 @@ def test_infer_rejects_a_nan_feature(inputs):
     case.write_text(FEATURES.replace("0.2", "nan"))
     assert run(["infer", inputs["checkpoint_path"], str(case),
                 "--out", str(inputs["root"] / "p.csv")]) == 2
+
+
+def run_error(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("taxonomy", "nodes", 1, "parent"), 1.9, "taxonomy.nodes[1].parent"),
+    (("taxonomy", "nodes", 1, "weight"), "1.0", "taxonomy.nodes[1].weight"),
+    (("taxonomy", "nodes", 1, "colour"), "red", "taxonomy.nodes[1].colour"),
+    (("prototypes", "coords", 0, 1), True, "prototypes.coords"),
+])
+def test_checkpoint_fields_read_strictly(inputs, path, value, named):
+    doc = copy.deepcopy(inputs["checkpoint"])
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    case = inputs["root"] / "strict_checkpoint.json"
+    case.write_text(json.dumps(doc))
+    features = inputs["root"] / "features.csv"
+    features.write_text(FEATURES)
+    code, err = run_error(["infer", str(case), str(features),
+                           "--out", str(inputs["root"] / "p.csv")])
+    assert code == 2 and named in err, err
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_constants_exit_2(inputs, constant):
+    config = json.dumps(inputs["config"]).replace('"lambda": 1.0', f'"lambda": {constant}')
+    assert constant in config
+    case = inputs["root"] / "nan_config.json"
+    case.write_text(config)
+    code, err = run_error(["train", str(case), "--output-dir",
+                           str(inputs["root"] / "nan_run")])
+    assert code == 2 and f"constant {constant}" in err, err
+
+    ckpt = json.dumps(inputs["checkpoint"]).replace('"delta": 0.1', f'"delta": {constant}')
+    assert constant in ckpt
+    case = inputs["root"] / "nan_checkpoint.json"
+    case.write_text(ckpt)
+    features = inputs["root"] / "features.csv"
+    features.write_text(FEATURES)
+    code, err = run_error(["infer", str(case), str(features),
+                           "--out", str(inputs["root"] / "p.csv")])
+    assert code == 2 and f"constant {constant}" in err, err

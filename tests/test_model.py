@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import protometric as pm
 from protometric import DistanceSpec, PrototypeSet, TrainConfig, TrainingDivergedError
-from protometric.model import _head_loss, head_logits
+from protometric.model import _head_loss, head_logits, leaf_posterior, softmax
 
 from conftest import random_prototype_instance
 
@@ -96,6 +96,36 @@ class TestPosterior:
             assert abs(p.sum() - 1.0) <= 1e-12
             nearest = int(np.argmin(np.linalg.norm(coords - e, axis=1)))
             assert int(np.argmax(p)) == nearest
+
+
+class TestLeafPosterior:
+    def test_blocks_match_one_block(self):
+        # BLAS may round a short block differently in the last place
+        rng = np.random.default_rng(21)
+        model = tiny_mlp(rng, din=5, m=3)
+        X = rng.standard_normal((50, 5))
+        coords = rng.standard_normal((4, 3))
+        head = pm.LinearHead(4, 3, rng.standard_normal(16))
+        for h in (None, head):
+            whole = leaf_posterior(model, X, coords, EUC, h)
+            blocked = leaf_posterior(model, X, coords, EUC, h, block=7)
+            np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-300)
+            for start in range(0, 50, 7):
+                np.testing.assert_array_equal(
+                    blocked[start:start + 7],
+                    leaf_posterior(model, X[start:start + 7], coords, EUC, h))
+
+    def test_prototype_and_head_paths(self):
+        rng = np.random.default_rng(22)
+        model = tiny_mlp(rng, din=5, m=3)
+        X = rng.standard_normal((9, 5))
+        coords = rng.standard_normal((4, 3))
+        head = pm.LinearHead(4, 3, rng.standard_normal(16))
+        E = pm.forward(model, X)
+        np.testing.assert_array_equal(leaf_posterior(model, X, coords, EUC),
+                                      pm.posterior(E, coords, EUC))
+        np.testing.assert_array_equal(leaf_posterior(model, X, None, EUC, head),
+                                      softmax(head_logits(head, E)))
 
 
 class TestDataLoss:
@@ -460,6 +490,14 @@ class TestCheckpoint:
         ckpt = pm.load_checkpoint(path)
         assert ckpt.head is not None
         np.testing.assert_array_equal(ckpt.head.params, head.params)
+
+    def test_boolean_in_number_array_rejected(self):
+        with pytest.raises(ValueError, match="boolean"):
+            pm.LinearHead.from_dict({"n_classes": 1, "input_dim": 1,
+                                     "params": [True, 0.5]})
+        with pytest.raises(ValueError, match="boolean"):
+            PrototypeSet.from_dict({"coords": [[0.5, 1.0], [0.0, False]],
+                                    "class_map": [0, 1]})
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

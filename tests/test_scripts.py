@@ -1,12 +1,22 @@
-"""Smoke test of the experiment script under scripts/."""
+"""Smoke tests of the scripts under scripts/."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import os
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load(name, *path):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, *path))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_synthetic_benchmark_prints_a_row_per_arm():
@@ -30,10 +40,7 @@ def test_synthetic_benchmark_prints_a_row_per_arm():
 def test_every_traced_layer_resolves():
     # the traced benchmark silently skips a site that no longer exists, so a
     # refactor that moves a function would drop its layer unnoticed
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load("perfbench_spans", "perfbench", "spans.py")
     for layer, (sites, _) in spans.LAYERS.items():
         module_name, attr_path = sites[0].split(":")
         owner = importlib.import_module(f"protometric.{module_name}")
@@ -41,3 +48,37 @@ def test_every_traced_layer_resolves():
         for part in outer:
             owner = getattr(owner, part)
         assert callable(owner.__dict__.get(attr)), f"{layer}: {sites[0]} does not resolve"
+
+
+def test_sweep_runs_are_byte_identical(tmp_path):
+    # the determinism contract as a test: the same matrix run twice, each in
+    # a fresh process under --threads 1, writes the same bytes
+    script = os.path.join(ROOT, "scripts", "sweep.py")
+    for name in ("a", "b"):
+        proc = subprocess.run([sys.executable, script, "run", str(tmp_path / name), "--tiny"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    sweep = _load("sweep", "scripts", "sweep.py")
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert sweep.diff_trees(a, b) == 0
+    n = len(sweep._files(a))
+    assert n > 50 and f"{n} files, {n} byte-identical" in out.getvalue()
+
+    # a drifted byte fails; a covered file passes within its bound only
+    infer = tmp_path / "b" / "infer" / "disto" / "max-prob.csv"
+    infer.write_text(infer.read_text().replace("max-prob", "max-prib", 1))
+    disto = tmp_path / "b" / "embed" / "disto-euclidean-leaves-d2" / "distortion.json"
+    report = json.loads(disto.read_text())
+    report["scale_free_distortion"] *= 1 + 1e-10
+    disto.write_text(json.dumps(report))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert sweep.diff_trees(a, b) == 1
+    assert "differs: infer/disto/max-prob.csv" in out.getvalue()
+    assert "within tolerance: embed/disto-euclidean-leaves-d2/distortion.json" in out.getvalue()
+    report["scale_free_distortion"] *= 1 + 1e-6
+    disto.write_text(json.dumps(report))
+    infer.write_text(infer.read_text().replace("max-prib", "max-prob", 1))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert sweep.diff_trees(a, b) == 1
+    assert "beyond tolerance: embed/disto-euclidean-leaves-d2/distortion.json" in out.getvalue()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,16 +16,16 @@ class TestParseEdgeList:
         assert toy_tax.n_nodes == 6
         assert toy_tax.names == ("a1", "A", "a2", "b1", "B", "root")
         assert toy_tax.leaf_names == ("a1", "a2", "b1")
-        assert toy_tax.nodes[toy_tax.root_id].name == "root"
+        assert [n.name for n in toy_tax.nodes if n.parent is None] == ["root"]
         internal = [n.name for n in toy_tax.nodes
                     if not toy_tax.is_leaf(n.node_id) and n.parent is not None]
         assert sorted(internal) == ["A", "B"]
 
     def test_document_order_ids(self, toy_tax):
         # first appearance order: a1, A, a2, b1, B, root
-        assert toy_tax.id_of("a1") == 0
-        assert toy_tax.id_of("A") == 1
-        assert toy_tax.id_of("root") == 5
+        assert [n.node_id for n in toy_tax.nodes] == list(range(6))
+        assert toy_tax.names.index("A") == 1
+        assert toy_tax.nodes[5].name == "root"
 
     def test_empty_text(self):
         with pytest.raises(TaxonomyError, match="no nodes"):
@@ -55,8 +57,8 @@ class TestParseEdgeList:
 
     def test_weights(self):
         tax = pm.parse_taxonomy("a\troot\t2.5\nb\troot\n")
-        assert tax.nodes[tax.id_of("a")].weight == 2.5
-        assert tax.nodes[tax.id_of("b")].weight == 1.0
+        assert tax.nodes[tax.names.index("a")].weight == 2.5
+        assert tax.nodes[tax.names.index("b")].weight == 1.0
 
     def test_bad_weight(self):
         with pytest.raises(TaxonomyError, match="weight"):
@@ -90,7 +92,7 @@ class TestParseJsonTree:
     def test_child_weight(self):
         text = '{"name": "r", "children": [{"name": "a", "weight": 3.0}]}'
         tax = pm.parse_taxonomy(text, format="json-tree")
-        assert tax.nodes[tax.id_of("a")].weight == 3.0
+        assert tax.nodes[tax.names.index("a")].weight == 3.0
 
 
 class TestCostMatrix:
@@ -142,7 +144,7 @@ class TestCostMatrix:
         rng = np.random.default_rng(5)
         tax = random_taxonomy(25, rng, weighted=True)
         metric = pm.cost_matrix(tax, "all-nodes")
-        root = tax.root_id
+        root = next(n.node_id for n in tax.nodes if n.parent is None)
         for leaf in tax.leaf_ids:
             total = 0.0
             cur = leaf
@@ -214,3 +216,28 @@ def test_taxonomy_dict_roundtrip(toy_tax):
     assert again.names == toy_tax.names
     assert again.leaf_ids == toy_tax.leaf_ids
     assert [n.weight for n in again.nodes] == [n.weight for n in toy_tax.nodes]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("parent", 1.9, "'nodes[1].parent' must be an integer"),
+    ("weight", "1.0", "'nodes[1].weight' must be a number"),
+    ("colour", "red", "unknown key 'nodes[1].colour'"),
+])
+def test_taxonomy_dict_is_read_strictly(toy_tax, key, value, message):
+    payload = toy_tax.to_dict()
+    payload["nodes"][1][key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pm.Taxonomy.from_dict(payload)
+
+
+@pytest.mark.parametrize("name", ["a\\rb", "a\\nb"])
+def test_json_tree_rejects_line_breaks_in_names(name):
+    text = '{"name": "root", "children": [{"name": "%s"}, {"name": "c"}]}' % name
+    with pytest.raises(TaxonomyError, match="line break"):
+        pm.parse_taxonomy(text, format="json-tree")
+
+
+def test_json_tree_rejects_non_finite_constants():
+    text = '{"name": "root", "children": [{"name": "a", "weight": NaN}, {"name": "b"}]}'
+    with pytest.raises(ValueError, match="NaN"):
+        pm.parse_taxonomy(text, format="json-tree")
