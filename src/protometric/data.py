@@ -65,9 +65,8 @@ def gen_hierarchical_gaussians(tax: Taxonomy, per_class: int, dims: int,
 
     # Means are drawn level by level (document order within a level) so the
     # draw sequence does not depend on how the file ordered parents/children.
-    order = sorted(range(tax.n_nodes), key=lambda i: (tax.level(i), i))
     means = np.zeros((tax.n_nodes, dims))
-    for i in order:
+    for i in tax.root_first:
         parent = tax.nodes[i].parent
         if parent is None:
             continue

@@ -37,8 +37,12 @@ def _reject_constant(name: str):
 
 
 def parse_json(text: str):
-    """The value of a JSON document; NaN, Infinity and -Infinity are rejected."""
-    return json.loads(text, parse_constant=_reject_constant)
+    """The value of a JSON document; NaN, Infinity and -Infinity are rejected,
+    and so is nesting deeper than the interpreter's recursion limit allows."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number",
@@ -146,6 +150,18 @@ class Record:
         return cls(**kwargs)
 
 
+def _rows(fh):
+    """The non-blank rows of a CSV file; a row csv cannot read raises DataError."""
+    r = 0
+    try:
+        for row in csv.reader(fh):
+            if row:
+                r += 1
+                yield row
+    except csv.Error as exc:
+        raise DataError(f"row {r + 1}: {exc}") from None
+
+
 def read_table(source, text_column: str, required: bool = False):
     """(texts, values) of a CSV table with a header row; blank lines skipped.
 
@@ -157,7 +173,7 @@ def read_table(source, text_column: str, required: bool = False):
     """
     is_text = isinstance(source, str) and "\n" in source
     with io.StringIO(source) if is_text else open(source, "r", encoding="utf-8") as fh:
-        rows = (row for row in csv.reader(fh) if row)
+        rows = _rows(fh)
         header = [h.strip() for h in next(rows, [])]
         if not header:
             raise DataError("empty file: no header row")

@@ -68,9 +68,11 @@ def build_index(pi: PrototypeSet) -> PrototypeIndex:
 
 
 def _any_node_costs(metric_all: FiniteMetric, tax: Taxonomy) -> np.ndarray:
-    """All-nodes cost rows restricted to the leaf columns, in leaf order."""
-    leaf_cols = [metric_all.class_names.index(name) for name in tax.leaf_names]
-    return metric_all.costs[:, leaf_cols]
+    """All-nodes cost rows restricted to the leaf columns, in leaf order.
+
+    The all-nodes matrix is in document order, so its columns are node ids.
+    """
+    return metric_all.costs[:, list(tax.leaf_ids)]
 
 
 def _decide(P: np.ndarray, costs: np.ndarray | None, scheme: str):

@@ -545,8 +545,6 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
                 pi = PrototypeSet(proto, class_map, config.include_internal_prototypes)
                 breakdown, grads = total_loss(Xb, zb, model, pi, metric_reg,
                                               config, rng, leaf_rows)
-                if config.schedule == "fixed-proto":
-                    grads = {"model": grads["model"]}
             else:
                 value, dmodel, dhead = _head_loss(Xb, zb, model, head, target_table)
                 breakdown = LossBreakdown(value, 0.0, value, None)

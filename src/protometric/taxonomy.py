@@ -1,7 +1,7 @@
 """Class hierarchies and the misclassification-cost metrics they induce.
 
 A taxonomy is a rooted tree whose childless nodes are the leaf classes.
-Edges carry positive weights (1.0 unless the file says otherwise), and the
+Edges carry positive, finite weights (1.0 unless the file says otherwise), and the
 cost of confusing two classes is the weighted length of the unique path
 between their nodes.
 """
@@ -9,6 +9,7 @@ between their nodes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,11 @@ class Taxonomy(Record):
     """Immutable rooted tree of class nodes; JSON form ``{"nodes": [...]}``.
 
     Node ids are consecutive integers in document order (order of first
-    appearance in the source file). Exactly one node has no parent.
+    appearance in the source file). Exactly one node has no parent. This is
+    the one place that validates a tree, and it stores what is derived from
+    it: ``leaf_ids`` (document order), ``root_first`` (node ids sorted by
+    level, then id) and ``depth`` (each node's weighted distance from the
+    root, a read-only float64 array).
     """
 
     nodes: tuple[TaxonomyNode, ...]
@@ -42,6 +47,7 @@ class Taxonomy(Record):
         nodes = tuple(self.nodes)
         if not nodes:
             raise TaxonomyError("no nodes")
+        children: list[list[int]] = [[] for _ in nodes]
         for pos, node in enumerate(nodes):
             if node.node_id != pos:
                 raise TaxonomyError(
@@ -53,9 +59,13 @@ class Taxonomy(Record):
                     raise TaxonomyError(f"node '{node.name}' has out-of-range parent")
                 if node.parent == node.node_id:
                     raise TaxonomyError(f"cycle detected at '{node.name}' (self parent)")
-                if not node.weight > 0:
-                    raise TaxonomyError(f"edge weight for '{node.name}' must be positive")
+                if not (node.weight > 0 and math.isfinite(node.weight)):
+                    raise TaxonomyError(
+                        f"edge weight for '{node.name}' must be positive and finite")
+                children[node.parent].append(pos)
         names = [n.name for n in nodes]
+        if "" in names:
+            raise TaxonomyError("node names must be non-empty")
         if len(set(names)) != len(names):
             dup = sorted({m for m in names if names.count(m) > 1})
             raise TaxonomyError(f"duplicate names: {', '.join(dup)}")
@@ -70,38 +80,37 @@ class Taxonomy(Record):
                 "multiple roots: " + ", ".join(nodes[r].name for r in roots)
             )
 
-        # Reachability check doubles as cycle detection: following parent
-        # links from any node must land on the root within n steps.
-        children: list[list[int]] = [[] for _ in nodes]
-        for n in nodes:
-            steps = 0
-            cur = n.node_id
-            while nodes[cur].parent is not None:
-                cur = nodes[cur].parent  # type: ignore[assignment]
-                steps += 1
-                if steps > len(nodes):
-                    raise TaxonomyError(
-                        f"cycle detected: '{n.name}' cannot reach the root"
-                    )
-            if n.parent is not None:
-                children[n.parent].append(n.node_id)
+        # Breadth-first from the root, one level at a time, ids ascending
+        # within a level. A node it never reaches lies on or below a cycle.
+        level, depth = [0] * len(nodes), [0.0] * len(nodes)
+        root_first, frontier = [], roots
+        while frontier:
+            root_first += frontier
+            frontier = sorted(c for i in frontier for c in children[i])
+            for i in frontier:
+                level[i] = level[nodes[i].parent] + 1
+                depth[i] = depth[nodes[i].parent] + nodes[i].weight
+        if len(root_first) < len(nodes):
+            lost = nodes[min(set(range(len(nodes))).difference(root_first))].name
+            raise TaxonomyError(f"cycle detected: '{lost}' cannot reach the root")
+        if math.inf in depth:  # finite weights can still sum to inf
+            lost = nodes[depth.index(math.inf)].name
+            raise TaxonomyError(f"path length from the root to '{lost}' is not finite")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "_children", tuple(tuple(c) for c in children))
-        object.__setattr__(self, "_leaf_ids",
-                           tuple(n.node_id for n in nodes if not children[n.node_id]))
+        object.__setattr__(self, "_level", tuple(level))
+        object.__setattr__(self, "leaf_ids", tuple(i for i, c in enumerate(children) if not c))
+        object.__setattr__(self, "root_first", tuple(root_first))
+        object.__setattr__(self, "depth", np.array(depth))
+        self.depth.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
     @property
-    def leaf_ids(self) -> tuple[int, ...]:
-        """Leaf node ids in document order."""
-        return self._leaf_ids
-
-    @property
     def leaf_names(self) -> tuple[str, ...]:
-        return tuple(self.nodes[i].name for i in self._leaf_ids)
+        return tuple(self.nodes[i].name for i in self.leaf_ids)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -115,15 +124,10 @@ class Taxonomy(Record):
 
     def level(self, node_id: int) -> int:
         """Edge count from the root (root is level 0)."""
-        steps = 0
-        cur = node_id
-        while self.nodes[cur].parent is not None:
-            cur = self.nodes[cur].parent  # type: ignore[assignment]
-            steps += 1
-        return steps
+        return self._level[node_id]
 
     def __repr__(self) -> str:
-        return f"Taxonomy({self.n_nodes} nodes, {len(self._leaf_ids)} leaves)"
+        return f"Taxonomy({self.n_nodes} nodes, {len(self.leaf_ids)} leaves)"
 
 
 @dataclass(frozen=True)
@@ -164,15 +168,8 @@ def parse_taxonomy(text: str, format: str = "edge-list") -> Taxonomy:
 
 
 def _parse_edge_list(text: str) -> Taxonomy:
-    parent_of: dict[str, tuple[str, float]] = {}
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def register(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-
+    edges: dict[str, tuple[str, float]] = {}  # child -> (parent, weight)
+    ids: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -180,33 +177,20 @@ def _parse_edge_list(text: str) -> Taxonomy:
         parts = [p.strip() for p in line.split("\t")]
         if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
             raise TaxonomyError(f"line {lineno}: expected 'child<TAB>parent[<TAB>weight]'")
-        child, parent = parts[0], parts[1]
-        weight = 1.0
-        if len(parts) == 3:
-            try:
-                weight = float(parts[2])
-            except ValueError:
-                raise TaxonomyError(f"line {lineno}: bad weight '{parts[2]}'") from None
-            if not weight > 0 or not np.isfinite(weight):
-                raise TaxonomyError(f"line {lineno}: weight must be a positive real")
-        if child == parent:
-            raise TaxonomyError(f"line {lineno}: cycle detected ('{child}' is its own parent)")
-        if child in parent_of:
-            raise TaxonomyError(f"line {lineno}: duplicate child entry '{child}'")
-        parent_of[child] = (parent, weight)
-        register(child)
-        register(parent)
+        try:
+            weight = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise TaxonomyError(f"line {lineno}: bad weight '{parts[2]}'") from None
+        if parts[0] in edges:
+            raise TaxonomyError(f"line {lineno}: duplicate child entry '{parts[0]}'")
+        edges[parts[0]] = (parts[1], weight)
+        ids.setdefault(parts[0], len(ids))  # ids follow first appearance
+        ids.setdefault(parts[1], len(ids))
 
-    if not order:
-        raise TaxonomyError("no nodes")
-    ids = {name: i for i, name in enumerate(order)}
     nodes = []
-    for name in order:
-        if name in parent_of:
-            pname, w = parent_of[name]
-            nodes.append(TaxonomyNode(ids[name], name, ids[pname], w))
-        else:
-            nodes.append(TaxonomyNode(ids[name], name, None))
+    for name, node_id in ids.items():
+        parent, weight = edges.get(name, (None, 1.0))
+        nodes.append(TaxonomyNode(node_id, name, ids.get(parent), weight))
     return Taxonomy(nodes)
 
 
@@ -217,31 +201,28 @@ def _parse_json_tree(text: str) -> Taxonomy:
         raise TaxonomyError(f"invalid JSON: {exc}") from exc
 
     nodes: list[TaxonomyNode] = []
-    seen: set[str] = set()
 
-    def walk(obj, parent_id: int | None) -> None:
-        if not isinstance(obj, dict) or "name" not in obj:
-            raise TaxonomyError("orphan node: every tree entry needs a 'name'")
+    def walk(obj, parent_id: int | None, where: str) -> None:
+        if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
+            raise TaxonomyError(f"{where} must be an object with a string 'name'")
         name = obj["name"]
-        if not isinstance(name, str) or not name:
-            raise TaxonomyError("node names must be non-empty strings")
-        if name in seen:
-            raise TaxonomyError(f"duplicate names: {name}")
-        seen.add(name)
-        weight = float(obj.get("weight", 1.0))
+        unknown = sorted(obj.keys() - {"name", "weight", "children"})
+        if unknown:
+            raise TaxonomyError(f"node '{name}': unknown key '{unknown[0]}'")
         if parent_id is None and "weight" in obj:
-            raise TaxonomyError("root node cannot carry an edge weight")
-        node_id = len(nodes)
-        nodes.append(TaxonomyNode(node_id, name, parent_id, weight))
+            raise TaxonomyError(f"root node '{name}' cannot carry an edge weight")
+        weight = obj.get("weight", 1.0)
+        if type(weight) not in (int, float):  # bool is not a number here
+            raise TaxonomyError(f"node '{name}': weight must be a number")
         children = obj.get("children", [])
         if not isinstance(children, list):
             raise TaxonomyError(f"children of '{name}' must be a list")
-        for child in children:
-            walk(child, node_id)
+        node_id = len(nodes)
+        nodes.append(TaxonomyNode(node_id, name, parent_id, float(weight)))
+        for k, child in enumerate(children):
+            walk(child, node_id, f"child {k} of '{name}'")
 
-    walk(payload, None)
-    if not nodes:
-        raise TaxonomyError("no nodes")
+    walk(payload, None, "the tree root")
     return Taxonomy(nodes)
 
 
@@ -264,16 +245,9 @@ def cost_matrix(tax: Taxonomy, nodes: str = "leaves-only") -> FiniteMetric:
     # node's depth over the (descendants x descendants) block in root-first
     # order leaves exactly the lca depth on every pair.
     n = tax.n_nodes
-    depth = np.zeros(n)
-    order = sorted(range(n), key=lambda i: (tax.level(i), i))
-    for i in order:
-        node = tax.nodes[i]
-        if node.parent is not None:
-            depth[i] = depth[node.parent] + node.weight
-
     pos = {node_id: p for p, node_id in enumerate(selected)}
     members: list[list[int]] = [[] for _ in range(n)]  # selected nodes per subtree
-    for i in reversed(order):
+    for i in reversed(tax.root_first):
         if i in pos:
             members[i].append(pos[i])
         for child in tax.children(i):
@@ -281,11 +255,11 @@ def cost_matrix(tax: Taxonomy, nodes: str = "leaves-only") -> FiniteMetric:
 
     K = len(selected)
     lca_depth = np.zeros((K, K))
-    for i in order:
+    for i in tax.root_first:
         block = members[i]
         if len(block) > 1 or (block and i in pos):
-            lca_depth[np.ix_(block, block)] = depth[i]
-    sel_depth = depth[list(selected)]
+            lca_depth[np.ix_(block, block)] = tax.depth[i]
+    sel_depth = tax.depth[list(selected)]
     D = sel_depth[:, None] + sel_depth[None, :] - 2.0 * lca_depth
     np.fill_diagonal(D, 0.0)
     names = tuple(tax.nodes[i].name for i in selected)

@@ -2,15 +2,19 @@
 
 Run configs, checkpoints, labelled CSVs and feature CSVs are mutated (keys
 deleted, renamed or added; values swapped for another JSON type; sections
-made scalars; rows made ragged; cells set to nan, inf or text). `main` must
-never raise, and a nonzero exit must print exactly one stderr line, starting
-with "error:".
+made scalars; rows made ragged; cells set to nan, inf or text). Edge-list
+and json-tree taxonomies are mutated too (cycles, self-loops, two parents,
+extra roots, bad weights, awkward names and line ends). `main` must never
+raise, and a nonzero exit must print exactly one stderr line, starting with
+"error:".
 """
 
 import contextlib
 import copy
+import csv
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,7 @@ SCALARS = [None, True, 3, 2.5, "text"]
 OTHER_VALUES = SCALARS + [[], {}, ["text", 1]]
 BAD_CELLS = ["nan", "inf", "-inf", "text", ""]
 FUZZ = settings(max_examples=40, deadline=None)
+TAXONOMY_FUZZ = settings(max_examples=100, deadline=None)  # a cost run takes milliseconds
 
 
 def run(argv) -> int:
@@ -237,3 +242,154 @@ def test_non_finite_json_constants_exit_2(inputs, constant):
     code, err = run_error(["infer", str(case), str(features),
                            "--out", str(inputs["root"] / "p.csv")])
     assert code == 2 and f"constant {constant}" in err, err
+
+
+def fails(argv, message: str) -> None:
+    """`main(argv)` exits 2 with one stderr line, an error holding `message`."""
+    code, err = run_error(argv)
+    lines = err.splitlines()
+    assert code == 2 and len(lines) == 1, (code, lines)
+    assert lines[0].startswith("error: ") and message in lines[0], lines
+
+
+@pytest.mark.parametrize("kind", ["config", "checkpoint", "json-tree"])
+def test_deeply_nested_json_exits_2(tmp_path, kind):
+    case = tmp_path / "nested.json"
+    case.write_text("[" * 5000)
+    features = tmp_path / "features.csv"
+    features.write_text(FEATURES)
+    argv = {"config": ["train", str(case)],
+            "checkpoint": ["infer", str(case), str(features), "--out", str(tmp_path / "p")],
+            "json-tree": ["cost", str(case), "--format", "json-tree",
+                          "--out", str(tmp_path / "c")]}[kind]
+    fails(argv, "nested too deeply")
+
+
+def test_oversized_csv_cell_exits_2(inputs):
+    case = inputs["root"] / "wide_features.csv"
+    case.write_text("id,f0\nr0,1.0\nr1," + "1" * 200_000 + "\n")
+    fails(["infer", inputs["checkpoint_path"], str(case),
+           "--out", str(inputs["root"] / "p.csv")], "row 3: field larger than field limit")
+
+
+# -- taxonomy files -----------------------------------------------------------
+
+EDGES = (("a1", "A"), ("a2", "A"), ("b1", "B"), ("A", "root"), ("B", "root"))
+CHAIN = ("a1", "A")  # the edges from leaf a1 up to the root
+EDGE_MUTATIONS = ["cycle", "self-loop", "two-parents", "duplicate-edge", "second-root",
+                  "chain-weight", "tab-in-name", "crlf", "empty"]
+EDGE_WEIGHTS = ["0", "-1", "nan", "inf", "1e308", "2.5"]
+TREE_MUTATIONS = ["weight", "chain-weight", "unknown-key", "children-null",
+                  "duplicate-name", "empty-name", "tab-in-name", "root-weight",
+                  "not-object", "crlf", "empty"]
+# "1e999" stands for the JSON number 1e999, which Python reads as inf
+TREE_WEIGHTS = [None, [1], "2", True, False, 0, -1, math.nan, "1e999", 1e308, 2.5]
+
+
+def edge_list_text(mutations, weight: str) -> str:
+    lines = [[child, parent] for child, parent in EDGES]
+    for kind in mutations:
+        if kind == "cycle":
+            lines.append(["root", "a1"])
+        elif kind == "self-loop":
+            lines.append(["c", "c"])
+        elif kind == "two-parents":
+            lines.append(["a1", "B"])
+        elif kind == "duplicate-edge":
+            lines.append(list(lines[0]))
+        elif kind == "second-root":
+            lines.append(["c", "root2"])
+        elif kind == "chain-weight":
+            for line in lines:
+                if line[0] in CHAIN:
+                    line[2:] = [weight]
+        elif kind == "tab-in-name":
+            lines[2][0] = "b\t1"
+    if "empty" in mutations:
+        return ""
+    return ("\r\n" if "crlf" in mutations else "\n").join(map("\t".join, lines)) + "\n"
+
+
+def json_tree_text(mutations, weight, target: str) -> str:
+    by_name = {}
+
+    def tree(name):
+        by_name[name] = node = {"name": name}
+        kids = [tree(child) for child, parent in EDGES if parent == name]
+        if kids:
+            node["children"] = kids
+        return node
+
+    root = tree("root")
+    for kind in mutations:
+        node = by_name[target]
+        if kind == "weight":
+            node["weight"] = weight
+        elif kind == "chain-weight":
+            for name in CHAIN:
+                by_name[name]["weight"] = weight
+        elif kind == "unknown-key":
+            node["weigth"] = 5
+        elif kind == "children-null":
+            node["children"] = None
+        elif kind == "duplicate-name":
+            by_name["b1"]["name"] = "a1"
+        elif kind == "empty-name":
+            node["name"] = ""
+        elif kind == "tab-in-name":
+            node["name"] = "a\t1"
+        elif kind == "root-weight":
+            root["weight"] = 1.0
+        elif kind == "not-object":
+            by_name["B"]["children"].append(5)
+    if "empty" in mutations:
+        return ""
+    text = json.dumps(root, indent=1).replace('"1e999"', "1e999")
+    return text.replace("\n", "\r\n") if "crlf" in mutations else text
+
+
+def cost_of(root, text: str, fmt: str) -> int:
+    """Exit code of `cost` on a taxonomy file; exit 0 must write finite costs."""
+    tax, out = root / "case_taxonomy", root / "case_cost.csv"
+    tax.write_text(text, newline="")
+    code = run(["cost", str(tax), "--format", fmt, "--nodes", "all", "--out", str(out)])
+    if code == 0:
+        with open(out, newline="") as fh:
+            cells = [cell for row in list(csv.reader(fh))[1:] for cell in row[1:]]
+        assert cells and all(math.isfinite(float(cell)) for cell in cells)
+    return code
+
+
+@pytest.fixture(scope="module")
+def tax_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("taxonomy")
+
+
+@TAXONOMY_FUZZ
+@given(mutations=st.lists(st.sampled_from(EDGE_MUTATIONS), max_size=3, unique=True),
+       weight=st.sampled_from(EDGE_WEIGHTS))
+def test_cost_on_mutated_edge_list(tax_dir, mutations, weight):
+    cost_of(tax_dir, edge_list_text(mutations, weight), "edge-list")
+
+
+@TAXONOMY_FUZZ
+@given(mutations=st.lists(st.sampled_from(TREE_MUTATIONS), max_size=3, unique=True),
+       weight=st.sampled_from(TREE_WEIGHTS), target=st.sampled_from(["a1", "A", "root"]))
+def test_cost_on_mutated_json_tree(tax_dir, mutations, weight, target):
+    cost_of(tax_dir, json_tree_text(mutations, weight, target), "json-tree")
+
+
+@pytest.mark.parametrize("fmt, text, message", [
+    ("json-tree", json_tree_text(["weight"], None, "a1"), "node 'a1': weight must be a number"),
+    ("json-tree", json_tree_text(["weight"], [1], "a1"), "node 'a1': weight must be a number"),
+    ("json-tree", json_tree_text(["weight"], "1e999", "a1"), "'a1' must be positive and finite"),
+    ("json-tree", json_tree_text(["weight"], "2", "a1"), "node 'a1': weight must be a number"),
+    ("json-tree", json_tree_text(["weight"], True, "a1"), "node 'a1': weight must be a number"),
+    ("json-tree", json_tree_text(["unknown-key"], None, "a1"), "node 'a1': unknown key 'weigth'"),
+    ("edge-list", edge_list_text(["chain-weight"], "1e308"), "root to 'a1' is not finite"),
+], ids=["null-weight", "list-weight", "1e999-weight", "string-weight", "boolean-weight",
+        "misspelt-key", "overflowing-path"])
+def test_taxonomy_defects_exit_2(tmp_path, fmt, text, message):
+    tax = tmp_path / "taxonomy"
+    tax.write_text(text)
+    fails(["cost", str(tax), "--format", fmt, "--out", str(tmp_path / "c.csv")], message)

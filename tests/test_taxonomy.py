@@ -61,10 +61,28 @@ class TestParseEdgeList:
         assert tax.nodes[tax.names.index("b")].weight == 1.0
 
     def test_bad_weight(self):
-        with pytest.raises(TaxonomyError, match="weight"):
-            pm.parse_taxonomy("a\troot\t-1\n")
+        for weight in ("-1", "0", "nan", "inf"):
+            with pytest.raises(TaxonomyError, match="weight for 'a' must be positive and finite"):
+                pm.parse_taxonomy(f"a\troot\t{weight}\n")
         with pytest.raises(TaxonomyError, match="weight"):
             pm.parse_taxonomy("a\troot\tabc\n")
+
+
+def test_levels_depths_and_order_match_a_walk_from_the_root():
+    rng = np.random.default_rng(17)
+    tax = random_taxonomy(60, rng, weighted=True)
+
+    def walk(i):  # (level, weighted depth), summed from the root down
+        parent = tax.nodes[i].parent
+        if parent is None:
+            return 0, 0.0
+        level, depth = walk(parent)
+        return level + 1, depth + tax.nodes[i].weight
+
+    expected = [walk(i) for i in range(tax.n_nodes)]
+    assert [tax.level(i) for i in range(tax.n_nodes)] == [lv for lv, _ in expected]
+    assert tax.depth.tolist() == [d for _, d in expected]
+    assert tax.root_first == tuple(sorted(range(tax.n_nodes), key=lambda i: (expected[i][0], i)))
 
 
 class TestParseJsonTree:
