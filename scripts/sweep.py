@@ -69,14 +69,38 @@ ARMS = {
 }
 TINY_ARMS = ("disto", "cross-entropy")
 BIG_INFER_ARMS = ("disto", "cross-entropy")
+# train section of every arm before its overrides
+BASE_SECTION = {"lambda": 1.0, "m": 4, "architecture": "mlp", "hidden": [8], "batch_size": 16}
 
-# Files allowed to differ in bytes, with the bound on their numbers. Each
-# widening or new entry is a change to the artifact contract.
+
+def _disto_prototype_arms() -> tuple[str, ...]:
+    """Arms that train prototypes under a disto regularizer with lambda > 0
+    (TrainConfig defaults to the disto regularizer and the prototype head)."""
+    sections = {arm: {**BASE_SECTION, **train} for arm, (train, _) in ARMS.items()}
+    return tuple(arm for arm, sec in sections.items()
+                 if sec.get("regularizer", "disto") not in ("rank", "none")
+                 and sec["lambda"] > 0 and sec.get("head", "prototypes") == "prototypes")
+
+
+# Files allowed to differ in bytes, with the bound on their numbers: the
+# relative deviation of every JSON number ("json"), of every numeric CSV cell
+# with the text cells exact ("csv"), or of the pairwise distances between the
+# x columns' rows ("distances"). Each widening or new entry is a change to
+# the artifact contract.
 TOLERANCES = {
     # Euclidean disto embed ends in the LM polish, whose last digits move
     # with any change to its arithmetic; rigid motions of the fit are free.
     "embed/disto-euclidean-*/distortion.json": ("json", 1e-8),
     "embed/disto-euclidean-*/prototypes.csv": ("distances", 1e-6),
+    # The disto gradient's pair sums round with their summation order, which
+    # moves the trajectory of every run that trains under it by a few ulps.
+    **{f"embed/disto-{kind}-*/{name}.{ext}": (ext, 1e-10)
+       for kind in ("squared-euclidean", "huber")
+       for name, ext in (("distortion", "json"), ("prototypes", "csv"))},
+    **{f"{command}/{arm}/*.{ext}": (ext, 1e-10) for arm in _disto_prototype_arms()
+       for command, exts in (("train", ("json", "csv")), ("eval", ("json", "csv")),
+                             ("infer", ("csv",)))
+       for ext in exts},
 }
 
 
@@ -143,8 +167,7 @@ def run_matrix(out: str, src: str, tiny: bool) -> None:
     arms = TINY_ARMS if tiny else tuple(ARMS)
     for arm in arms:
         train, run = ARMS[arm]
-        section = {"lambda": 1.0, "m": 4, "architecture": "mlp", "hidden": [8],
-                   "epochs": epochs, "batch_size": 16, **train}
+        section = {**BASE_SECTION, "epochs": epochs, **train}
         config = {"taxonomy_path": "tax.tsv", "dataset_path": "data/train.csv",
                   "output_dir": f"train/{arm}", "seeds": [0] if tiny else [0, 1],
                   "train": section, **run}
@@ -183,8 +206,11 @@ def _files(root: str) -> set[str]:
 
 
 def _rel(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale else 0.0
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
 
 
 def _json_deviation(a, b) -> float:
@@ -203,6 +229,25 @@ def _json_deviation(a, b) -> float:
             and not isinstance(a, bool) and not isinstance(b, bool)):
         return _rel(float(a), float(b))
     return 0.0 if a == b else math.inf
+
+
+def _csv_deviation(text_a: str, text_b: str) -> float:
+    """Largest relative deviation of the numeric cells of two CSVs of the same
+    shape; inf when the shapes or a text cell differ."""
+    rows_a = list(csv.reader(io.StringIO(text_a)))
+    rows_b = list(csv.reader(io.StringIO(text_b)))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return math.inf
+    worst = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            try:
+                worst = max(worst, _rel(float(x), float(y)))
+            except ValueError:  # a text cell
+                return math.inf
+    return worst
 
 
 def _distance_deviation(text_a: str, text_b: str) -> float:
@@ -225,6 +270,10 @@ def _distance_deviation(text_a: str, text_b: str) -> float:
     return worst
 
 
+DEVIATIONS = {"json": lambda a, b: _json_deviation(json.loads(a), json.loads(b)),
+              "csv": _csv_deviation, "distances": _distance_deviation}
+
+
 def diff_trees(a: str, b: str) -> int:
     files_a, files_b = _files(a), _files(b)
     drift = [f"only in {a}: {f}" for f in sorted(files_a - files_b)]
@@ -243,8 +292,7 @@ def diff_trees(a: str, b: str) -> int:
             continue
         kind, bound = rule
         text_a, text_b = bytes_a.decode("utf-8"), bytes_b.decode("utf-8")
-        dev = (_json_deviation(json.loads(text_a), json.loads(text_b)) if kind == "json"
-               else _distance_deviation(text_a, text_b))
+        dev = DEVIATIONS[kind](text_a, text_b)
         verdict = "within" if dev <= bound else "beyond"
         line = f"{verdict} tolerance: {name} ({kind} deviation {dev:.3g}, bound {bound:g})"
         print(line)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import Record
-from .geometry import DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm
+from .geometry import (DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract,
+                       pairwise_sqnorms)
 from .taxonomy import FiniteMetric
 
 
@@ -111,8 +112,7 @@ def _pair_data(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec):
     costs = metric.costs[iu, ju]
     if np.any(costs <= 0):
         raise ValueError("cost matrix has a zero or negative off-diagonal entry")
-    diff = pi.coords[iu] - pi.coords[ju]
-    sq = np.einsum("ij,ij->i", diff, diff)
+    sq = pairwise_sqnorms(pi.coords, pi.coords)[iu, ju]
     d = dist_from_sqnorm(spec, sq)
     return d, sq, costs, iu, ju
 
@@ -170,6 +170,15 @@ def l2_scale(distances: np.ndarray, costs: np.ndarray) -> float:
     return float(np.sum(distances / costs) / denom)
 
 
+def _pair_gradient(coords: np.ndarray, iu: np.ndarray, ju: np.ndarray,
+                   w: np.ndarray) -> np.ndarray:
+    """Row k is the sum over the unordered pairs {k, l} of w_kl (pi_k - pi_l):
+    the pair weights go into a symmetric K x K matrix for pair_contract."""
+    W = np.zeros((coords.shape[0],) * 2)
+    W[iu, ju] = W[ju, iu] = w
+    return pair_contract(W, coords, coords)
+
+
 def disto_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
                fixed_scale: bool = False):
     """Smooth distortion surrogate with its optimal scale and gradients.
@@ -188,12 +197,8 @@ def disto_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
     value = float(norm * np.sum(resid * resid))
 
     dvalue_dd = norm * 2.0 * resid * s / costs
-    w = grad_weight_from_sqnorm(spec, sq)
-    pair_grad = (dvalue_dd * w)[:, None] * (pi.coords[iu] - pi.coords[ju])
-    grads = np.zeros_like(pi.coords)
-    np.add.at(grads, iu, pair_grad)
-    np.add.at(grads, ju, -pair_grad)
-    return value, float(s), grads
+    w = dvalue_dd * grad_weight_from_sqnorm(spec, sq)
+    return value, float(s), _pair_gradient(pi.coords, iu, ju, w)
 
 
 def sample_triplets(K: int, S: int, rng: np.random.Generator,
@@ -265,6 +270,8 @@ def rank_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
     dgap = (_sigmoid(gap) - rbar) / batch.size
     g_kl = (dgap * grad_weight_from_sqnorm(spec, sq_kl))[:, None] * diff_kl
     g_km = (dgap * grad_weight_from_sqnorm(spec, sq_km))[:, None] * diff_km
+    # a scatter: S sampled triplets touch far fewer pairs than a dense K x K
+    # pair_contract would sweep
     grads = np.zeros_like(P)
     np.add.at(grads, k, g_kl - g_km)
     np.add.at(grads, l, -g_kl)
@@ -333,7 +340,8 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
 
     H = J^T J is built from per-pair m x m blocks, with a = unit_kl / D_kl:
     block (k, l) is -a a^T, and each diagonal block is minus the sum of its
-    row's off-diagonal blocks; g = J^T r sums +-a r per prototype.
+    row's off-diagonal blocks; g = J^T r is the pair gradient of the
+    weights r / (d D), 0 on a coincident pair as its unit vector is.
     """
     K, m = pi.size, pi.dim
     if K * m > LM_MAX_UNKNOWNS:
@@ -358,9 +366,8 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
         blocks[iu, :, ju, :] = blocks[ju, :, iu, :] = -a[:, :, None] * a[:, None, :]
         blocks[rows, :, rows, :] = -blocks.sum(axis=2)
         H = blocks.reshape(K * m, K * m)
-        g = np.zeros((K, m))
-        np.add.at(g, iu, a * r[:, None])
-        np.add.at(g, ju, -a * r[:, None])
+        w = np.divide(r, d * t, out=np.zeros_like(r), where=d > 0)
+        g = _pair_gradient(coords, iu, ju, w)
         accepted = False
         while lam <= 1e14:
             A = H.copy()

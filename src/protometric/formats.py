@@ -100,7 +100,10 @@ def _decode(hint, value, path: str):
         takes, want = _SCALARS[hint]
         if type(value) not in takes:
             raise _wrong_type(path, want, value)
-        return hint(value)
+        try:
+            return hint(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError(f"{path!r} is too large for a float") from None
     kind, inner = _unwrap(hint)
     if kind == "optional":
         return None if value is None else _decode(inner, value, path)

@@ -67,15 +67,39 @@ def grad_weight_from_sqnorm(spec: DistanceSpec, sq):
     return 1.0 / np.sqrt(sq + spec.delta * spec.delta)
 
 
+BUDGET = 1 << 20  # bytes of one block's difference temporary in pairwise_sqnorms
+
+
 def pairwise_sqnorms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean norms between rows of X and rows of Y.
 
     Computed as explicit differences rather than the expanded dot-product
-    identity: exact zeros for identical rows matter for tie handling.
+    identity: exact zeros for identical rows matter for tie handling. The
+    differences are taken a block of rows at a time, so the temporary stays
+    near BUDGET bytes; each output row depends on its input row alone, so
+    the result does not depend on the block size.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    diff = X[:, None, :] - Y[None, :, :]
-    return np.einsum("nkm,nkm->nk", diff, diff)
+    (n, m), k = X.shape, Y.shape[0]
+    out = np.empty((n, k))
+    rows = max(1, BUDGET // max(1, 8 * k * m))
+    for start in range(0, n, rows):
+        diff = X[start:start + rows, None, :] - Y[None, :, :]
+        out[start:start + rows] = np.einsum("nkm,nkm->nk", diff, diff)
+    return out
+
+
+def pair_contract(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row i is sum_j C[i, j] * (A[i] - B[j]): one row sum and one GEMM
+    instead of a scatter over the (i, j) pairs.
+
+    With C[i, j] = dL/dd(A[i], B[j]) times the grad_weight_from_sqnorm
+    weight, this is the gradient of L with respect to A. The two terms
+    cancel where A[i] is close to B[j], so an entry C[i, j] adds rounding of
+    order eps * |C[i, j]| * |A[i]| instead of eps * |C[i, j]| * |A[i] - B[j]|:
+    a zero weight is exact, a huge one is not.
+    """
+    return C.sum(axis=1)[:, None] * A - C @ B

@@ -17,7 +17,8 @@ import numpy as np
 from .data import Dataset
 from .distortion import PrototypeSet, regularizer_loss
 from .formats import Record, csv_text, json_text, parse_json
-from .geometry import DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pairwise_sqnorms
+from .geometry import (DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract,
+                       pairwise_sqnorms)
 from .optim import OptimizerSpec, make_optimizer
 from .taxonomy import FiniteMetric, Taxonomy, cost_matrix
 
@@ -242,8 +243,8 @@ def data_loss(X, z, model: EmbeddingModel, pi: PrototypeSet, spec: DistanceSpec,
     dL_dd[np.arange(n), z] += 1.0 / n
 
     C = dL_dd * grad_weight_from_sqnorm(spec, sq)
-    dE = C.sum(axis=1, keepdims=True) * E - C @ P
-    dP = C.sum(axis=0)[:, None] * P - C.T @ E
+    dE = pair_contract(C, E, P)
+    dP = pair_contract(C.T, P, E)
     dcoords = np.zeros_like(P_full)
     dcoords[rows] = dP
     dmodel = _backward(model, cache, dE)
@@ -446,9 +447,10 @@ def leaf_posterior(model: EmbeddingModel, X, proto_leaf: np.ndarray | None,
     with a head, else the softmin of the distances to the leaf prototypes
     `proto_leaf` (taxonomy leaf order).
 
-    `block` rows at a time bound the (block, K, m) distance temporary; None
-    takes all rows at once. BLAS may round a short block differently from
-    the same rows inside a long one, so the bytes depend on `block`.
+    `block` rows at a time bound the forward pass (the distance temporary is
+    bounded by `pairwise_sqnorms` itself); None takes all rows at once. BLAS
+    may round a short block differently from the same rows inside a long
+    one, so the bytes depend on `block`.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]

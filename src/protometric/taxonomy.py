@@ -72,6 +72,9 @@ class Taxonomy(Record):
         broken = [name for name in names if "\n" in name or "\r" in name]
         if broken:  # CSV reading would split such a cell into lines
             raise TaxonomyError(f"node name {broken[0]!r} holds a line break")
+        padded = [name for name in names if name != name.strip()]
+        if padded:  # CSV reading strips labels, so the name could never match
+            raise TaxonomyError(f"node name {padded[0]!r} has leading or trailing whitespace")
         roots = [n.node_id for n in nodes if n.parent is None]
         if len(roots) == 0:
             raise TaxonomyError("cycle detected: every node has a parent, no root")
@@ -214,11 +217,15 @@ def _parse_json_tree(text: str) -> Taxonomy:
         weight = obj.get("weight", 1.0)
         if type(weight) not in (int, float):  # bool is not a number here
             raise TaxonomyError(f"node '{name}': weight must be a number")
+        try:
+            weight = float(weight)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise TaxonomyError(f"node '{name}': weight is too large for a float") from None
         children = obj.get("children", [])
         if not isinstance(children, list):
             raise TaxonomyError(f"children of '{name}' must be a list")
         node_id = len(nodes)
-        nodes.append(TaxonomyNode(node_id, name, parent_id, float(weight)))
+        nodes.append(TaxonomyNode(node_id, name, parent_id, weight))
         for k, child in enumerate(children):
             walk(child, node_id, f"child {k} of '{name}'")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import protometric as pm
+from protometric.distortion import l2_scale
 from protometric.geometry import (EUCLIDEAN, DistanceSpec, dist_from_sqnorm,
                                   grad_weight_from_sqnorm, pairwise_sqnorms)
 
@@ -146,3 +147,51 @@ def distance_gradient(spec: DistanceSpec, u, v) -> tuple[np.ndarray, np.ndarray]
 def pairwise_distances(spec: DistanceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """(n, k) matrix of d(X[i], Y[j])."""
     return dist_from_sqnorm(spec, pairwise_sqnorms(X, Y))
+
+
+# ---------------------------------------------------------------------------
+# The kernels that geometry.pair_contract and the blocked
+# geometry.pairwise_sqnorms replaced, kept as their oracles
+# ---------------------------------------------------------------------------
+
+def one_shot_sqnorms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """pairwise_sqnorms from one (n, k, m) difference tensor."""
+    diff = np.asarray(X, dtype=np.float64)[:, None, :] - np.asarray(Y, dtype=np.float64)[None]
+    return np.einsum("nkm,nkm->nk", diff, diff)
+
+
+def _pair_geometry(coords: np.ndarray):
+    iu, ju = np.triu_indices(coords.shape[0], k=1)
+    diff = coords[iu] - coords[ju]
+    return iu, ju, diff, np.einsum("ij,ij->i", diff, diff)
+
+
+def scatter_disto_loss(pi: pm.PrototypeSet, metric: pm.FiniteMetric, spec: DistanceSpec,
+                       fixed_scale: bool = False):
+    """(value, s, grads, w) of disto_loss, each pair's gradient w (pi_k - pi_l)
+    scattered onto its two prototypes; w are the pair weights in triu order."""
+    iu, ju, diff, sq = _pair_geometry(pi.coords)
+    costs = metric.costs[iu, ju]
+    d = dist_from_sqnorm(spec, sq)
+    s = 1.0 if fixed_scale else l2_scale(d, costs)
+    resid = (s * d - costs) / costs
+    norm = 2.0 / (pi.size * (pi.size - 1))
+    w = norm * 2.0 * resid * s / costs * grad_weight_from_sqnorm(spec, sq)
+    grads = np.zeros_like(pi.coords)
+    np.add.at(grads, iu, w[:, None] * diff)
+    np.add.at(grads, ju, -w[:, None] * diff)
+    return float(norm * np.sum(resid * resid)), s, grads, w
+
+
+def scatter_lm_gradient(coords: np.ndarray, target: np.ndarray, costs: np.ndarray):
+    """(g, w) of lm_refine at `coords`: g = J^T r scattered as +-a r per pair,
+    a = unit_kl / D_kl, for pair targets and costs in triu order; w = r / (d D)
+    are the pair weights (0 on a coincident pair, where a is 0)."""
+    iu, ju, diff, sq = _pair_geometry(coords)
+    d = np.sqrt(sq)
+    r = (d - target) / costs
+    a = diff / np.maximum(d[:, None], 1e-300) / costs[:, None]
+    g = np.zeros_like(coords)
+    np.add.at(g, iu, a * r[:, None])
+    np.add.at(g, ju, -a * r[:, None])
+    return g, r / np.maximum(d, 1e-300) / costs * (d > 0)

@@ -1,6 +1,9 @@
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -9,8 +12,9 @@ from protometric import DegeneratePrototypesError, DistanceSpec, FiniteMetric, P
 from protometric.distortion import (LM_MAX_UNKNOWNS, _gauge_basis, l2_scale, lm_refine,
                                     regularizer_loss)
 
-from conftest import (grid_search_scale, pairwise_distances, random_prototype_instance,
-                      scaled_l1_sum)
+from conftest import (grid_search_scale, pairwise_distances, random_leaf_metric,
+                      random_prototype_instance, scaled_l1_sum, scatter_disto_loss,
+                      scatter_lm_gradient)
 
 EUC = DistanceSpec("euclidean")
 
@@ -213,6 +217,78 @@ class TestDistoLoss:
     def test_l2_scale_degenerate(self):
         with pytest.raises(DegeneratePrototypesError):
             l2_scale(np.zeros(3), np.ones(3))
+
+
+LAYOUTS = ("random", "coincident", "grid")
+
+
+def layout_coords(rng, K, m, layout):
+    """(K, m) prototypes: normal draws; normal draws with repeated rows; or
+    points of the grid {-1, 0, 1}^m, full of equal distances and exact
+    zeros. Rows 0 and 1 always differ, so the scale stays defined."""
+    if layout == "grid":
+        coords = rng.integers(-1, 2, (K, m)).astype(np.float64)
+    else:
+        coords = rng.standard_normal((K, m))
+        if layout == "coincident":
+            coords[2:] = coords[rng.integers(0, K, K - 2)]
+    coords[1] = coords[0] + 1.0
+    return coords
+
+
+def assert_matches_scatter(got, want, coords, w):
+    """Within 1e-12 of the largest term the contraction sums: it adds K terms
+    of up to |w| |coords| per row, which cancel to rounding wherever the
+    gradient vanishes, so |want| alone does not bound the error there."""
+    terms = coords.shape[0] * np.abs(w).max() * np.abs(coords).max()
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), terms)
+
+
+class TestPairKernelsAgainstScatter:
+    """The K x K pair_contract gradients against the scatter they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 8),
+           st.sampled_from([EUC, DistanceSpec("squared-euclidean"),
+                            DistanceSpec("huber", delta=0.5)]),
+           st.sampled_from(LAYOUTS), st.booleans())
+    @example(0, 2, 1, EUC, "grid", False)
+    @example(1, 40, 1, EUC, "coincident", False)
+    def test_disto_loss(self, seed, K, m, spec, layout, fixed_scale):
+        rng = np.random.default_rng(seed)
+        metric = random_leaf_metric(K, rng)
+        pi = PrototypeSet(layout_coords(rng, K, m, layout), tuple(range(K)))
+        value, s, grads = pm.disto_loss(pi, metric, spec, fixed_scale)
+        want_value, want_s, want_grads, w = scatter_disto_loss(pi, metric, spec, fixed_scale)
+        assert (value, s) == (want_value, want_s)
+        assert_matches_scatter(grads, want_grads, pi.coords, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6),
+           st.sampled_from(LAYOUTS))
+    @example(0, 3, 2, "coincident")
+    def test_lm_refine_gradient(self, seed, K, m, layout):
+        rng = np.random.default_rng(seed)
+        metric = random_leaf_metric(K, rng)
+        pi = PrototypeSet(layout_coords(rng, K, m, layout), tuple(range(K)))
+        iu, ju = np.triu_indices(K, k=1)
+        costs = metric.costs[iu, ju]
+        target = costs / l2_scale(pairwise_distances(EUC, pi.coords, pi.coords)[iu, ju], costs)
+        seen = []
+
+        def spy(coords, *args):
+            g = pair_gradient(coords, *args)
+            seen.append((coords, g))
+            return g
+
+        module = importlib.import_module("protometric.distortion")  # pm.distortion is a function
+        pair_gradient = module._pair_gradient
+        with mock.patch.object(module, "_pair_gradient", spy):
+            lm_refine(pi, metric, iters=3)
+        assert seen
+        for coords, g in seen:  # one g per accepted step
+            want, w = scatter_lm_gradient(coords, target, costs)
+            assert_matches_scatter(g, want, coords, w)
 
 
 class TestSampleTriplets:

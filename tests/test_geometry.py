@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import protometric as pm
-from protometric import DistanceSpec
+from protometric import DistanceSpec, geometry
 
-from conftest import NonDifferentiableError, distance, distance_gradient, pairwise_distances
+from conftest import (NonDifferentiableError, distance, distance_gradient, one_shot_sqnorms,
+                      pairwise_distances)
 
 EUC = DistanceSpec("euclidean")
 SQ = DistanceSpec("squared-euclidean")
@@ -134,3 +135,34 @@ def test_pairwise_distances_agree_with_scalar():
             for j in range(4):
                 assert table[i, j] == pytest.approx(
                     distance(spec, X[i], Y[j]), rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(1, 70),
+       st.sampled_from((-1, 0, 1)), st.booleans())
+@example(0, 1, 1, 1, True)
+@example(0, 1, 1, -1, False)
+@example(0, 1, 70, 0, True)
+@example(0, 120, 1, 1, False)
+def test_blocked_sqnorms_equal_one_shot(seed, k, m, offset, ties):
+    # n around the block height and 0/1: the bytes must not depend on blocking
+    rows = max(1, geometry.BUDGET // (8 * k * m))
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):  # ties: a small grid, full of equal norms
+        return rng.integers(-1, 2, shape).astype(float) if ties else rng.standard_normal(shape)
+
+    for n in {0, 1, rows + offset}:
+        X, Y = draw(n, m), draw(k, m)
+        if ties and n:
+            X[rng.integers(0, n, k)] = Y  # exact zeros
+        got = geometry.pairwise_sqnorms(X, Y)
+        assert got.shape == (n, k)
+        np.testing.assert_array_equal(got, one_shot_sqnorms(X, Y))
+
+
+def test_pair_contract_sums_weighted_differences():
+    rng = np.random.default_rng(3)
+    C, A, B = rng.standard_normal((5, 4)), rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+    want = np.einsum("ij,ijm->im", C, A[:, None, :] - B[None, :, :])
+    np.testing.assert_allclose(geometry.pair_contract(C, A, B), want, rtol=1e-13, atol=1e-14)

@@ -252,6 +252,14 @@ def fails(argv, message: str) -> None:
     assert lines[0].startswith("error: ") and message in lines[0], lines
 
 
+def test_integer_too_large_for_a_float_exits_2(inputs):
+    config = json.dumps(inputs["config"]).replace('"lambda": 1.0', f'"lambda": {10**400}')
+    case = inputs["root"] / "huge_config.json"
+    case.write_text(config)
+    fails(["train", str(case), "--output-dir", str(inputs["root"] / "huge_run")],
+          "'train.lambda' is too large for a float")
+
+
 @pytest.mark.parametrize("kind", ["config", "checkpoint", "json-tree"])
 def test_deeply_nested_json_exits_2(tmp_path, kind):
     case = tmp_path / "nested.json"
@@ -280,10 +288,11 @@ EDGE_MUTATIONS = ["cycle", "self-loop", "two-parents", "duplicate-edge", "second
                   "chain-weight", "tab-in-name", "crlf", "empty"]
 EDGE_WEIGHTS = ["0", "-1", "nan", "inf", "1e308", "2.5"]
 TREE_MUTATIONS = ["weight", "chain-weight", "unknown-key", "children-null",
-                  "duplicate-name", "empty-name", "tab-in-name", "root-weight",
-                  "not-object", "crlf", "empty"]
-# "1e999" stands for the JSON number 1e999, which Python reads as inf
-TREE_WEIGHTS = [None, [1], "2", True, False, 0, -1, math.nan, "1e999", 1e308, 2.5]
+                  "duplicate-name", "empty-name", "tab-in-name", "padded-name",
+                  "root-weight", "not-object", "crlf", "empty"]
+# "1e999" stands for the JSON number 1e999, which Python reads as inf; 10**400
+# is written as an integer, too large for a float
+TREE_WEIGHTS = [None, [1], "2", True, False, 0, -1, math.nan, "1e999", 10**400, 1e308, 2.5]
 
 
 def edge_list_text(mutations, weight: str) -> str:
@@ -338,6 +347,8 @@ def json_tree_text(mutations, weight, target: str) -> str:
             node["name"] = ""
         elif kind == "tab-in-name":
             node["name"] = "a\t1"
+        elif kind == "padded-name":
+            node["name"] = f" {node['name']}"
         elif kind == "root-weight":
             root["weight"] = 1.0
         elif kind == "not-object":
@@ -383,12 +394,16 @@ def test_cost_on_mutated_json_tree(tax_dir, mutations, weight, target):
     ("json-tree", json_tree_text(["weight"], None, "a1"), "node 'a1': weight must be a number"),
     ("json-tree", json_tree_text(["weight"], [1], "a1"), "node 'a1': weight must be a number"),
     ("json-tree", json_tree_text(["weight"], "1e999", "a1"), "'a1' must be positive and finite"),
+    ("json-tree", json_tree_text(["weight"], 10**400, "a1"),
+     "node 'a1': weight is too large for a float"),
+    ("json-tree", json_tree_text(["padded-name"], None, "a1"),
+     "node name ' a1' has leading or trailing whitespace"),
     ("json-tree", json_tree_text(["weight"], "2", "a1"), "node 'a1': weight must be a number"),
     ("json-tree", json_tree_text(["weight"], True, "a1"), "node 'a1': weight must be a number"),
     ("json-tree", json_tree_text(["unknown-key"], None, "a1"), "node 'a1': unknown key 'weigth'"),
     ("edge-list", edge_list_text(["chain-weight"], "1e308"), "root to 'a1' is not finite"),
-], ids=["null-weight", "list-weight", "1e999-weight", "string-weight", "boolean-weight",
-        "misspelt-key", "overflowing-path"])
+], ids=["null-weight", "list-weight", "1e999-weight", "integer-1e400-weight", "padded-name",
+        "string-weight", "boolean-weight", "misspelt-key", "overflowing-path"])
 def test_taxonomy_defects_exit_2(tmp_path, fmt, text, message):
     tax = tmp_path / "taxonomy"
     tax.write_text(text)

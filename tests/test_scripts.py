@@ -66,19 +66,34 @@ def test_sweep_runs_are_byte_identical(tmp_path):
     assert n > 50 and f"{n} files, {n} byte-identical" in out.getvalue()
 
     # a drifted byte fails; a covered file passes within its bound only
-    infer = tmp_path / "b" / "infer" / "disto" / "max-prob.csv"
+    infer = tmp_path / "b" / "infer" / "cross-entropy" / "max-prob.csv"
     infer.write_text(infer.read_text().replace("max-prob", "max-prib", 1))
     disto = tmp_path / "b" / "embed" / "disto-euclidean-leaves-d2" / "distortion.json"
     report = json.loads(disto.read_text())
     report["scale_free_distortion"] *= 1 + 1e-10
     disto.write_text(json.dumps(report))
+    # a disto-trained arm's CSV: numeric cells within the bound, text cells exact
+    arms = sweep._disto_prototype_arms()
+    assert "disto" in arms and "huber" in arms and "mean-aggregate" in arms
+    assert not {"rank", "unregularized", "lambda0", "fixed-proto-rank", "cross-entropy",
+                "soft-labels"} & set(arms)
+    tolerated = tmp_path / "b" / "infer" / "disto" / "max-prob.csv"
+    header, first, *rest = tolerated.read_text().split("\n")
+    cells = first.split(",")
+    cells[4] = repr(float(cells[4]) * (1 + 1e-12))
+    tolerated.write_text("\n".join([header, ",".join(cells), *rest]))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert sweep.diff_trees(a, b) == 1
-    assert "differs: infer/disto/max-prob.csv" in out.getvalue()
+    assert "differs: infer/cross-entropy/max-prob.csv" in out.getvalue()
     assert "within tolerance: embed/disto-euclidean-leaves-d2/distortion.json" in out.getvalue()
+    assert "within tolerance: infer/disto/max-prob.csv" in out.getvalue()
     report["scale_free_distortion"] *= 1 + 1e-6
     disto.write_text(json.dumps(report))
     infer.write_text(infer.read_text().replace("max-prib", "max-prob", 1))
+    cells[2] = "b2y" if cells[2] != "b2y" else "a1x"  # the predicted class
+    tolerated.write_text("\n".join([header, ",".join(cells), *rest]))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert sweep.diff_trees(a, b) == 1
     assert "beyond tolerance: embed/disto-euclidean-leaves-d2/distortion.json" in out.getvalue()
+    assert "beyond tolerance: infer/disto/max-prob.csv (csv deviation inf" in out.getvalue()
+    assert "differs:" not in out.getvalue()
