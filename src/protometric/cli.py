@@ -292,7 +292,7 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     import numpy as np
 
-    from .inference import predict
+    from .inference import predict, top3
     from .model import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
@@ -306,7 +306,7 @@ def cmd_infer(args) -> int:
 
     preds, metric, P, ec_table = predict(ckpt, X, args.scheme)
     names, leaf_names = metric.class_names, ckpt.taxonomy.leaf_names
-    top = np.argsort(-P, axis=1, kind="stable")[:, :3]
+    top = top3(P)
     probs = np.take_along_axis(P, top, axis=1).tolist()
     ecs = ec_table[np.arange(X.shape[0]), preds].tolist()
     rows = []

@@ -23,7 +23,7 @@ import numpy as np
 
 from .formats import Record
 from .geometry import (DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract,
-                       pairwise_sqnorms)
+                       pair_sqnorms)
 from .taxonomy import FiniteMetric
 
 
@@ -112,7 +112,7 @@ def _pair_data(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec):
     costs = metric.costs[iu, ju]
     if np.any(costs <= 0):
         raise ValueError("cost matrix has a zero or negative off-diagonal entry")
-    sq = pairwise_sqnorms(pi.coords, pi.coords)[iu, ju]
+    sq = pair_sqnorms(pi.coords, pi.coords, iu, ju)
     d = dist_from_sqnorm(spec, sq)
     return d, sq, costs, iu, ju
 

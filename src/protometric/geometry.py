@@ -8,6 +8,11 @@ Three kinds are supported: the Euclidean norm, its square, and a smoothed
 which matches |x| - delta asymptotically and |x|^2 / (2 delta) near zero.
 All three are strictly increasing functions of the Euclidean norm, which
 downstream nearest-prototype search relies on.
+
+Squared norms come from two kernels: `pairwise_sqnorms` for every pair of
+two row sets, by the dot-product expansion with an exact recompute around
+each row's minimum, and `pair_sqnorms` for listed pairs, from explicit
+differences. `pair_contract` turns per-pair weights into row gradients.
 """
 
 from __future__ import annotations
@@ -67,28 +72,80 @@ def grad_weight_from_sqnorm(spec: DistanceSpec, sq):
     return 1.0 / np.sqrt(sq + spec.delta * spec.delta)
 
 
-BUDGET = 1 << 20  # bytes of one block's difference temporary in pairwise_sqnorms
+BUDGET = 1 << 20  # bytes of one block of pair differences in pair_sqnorms
 
 
 def pairwise_sqnorms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean norms between rows of X and rows of Y.
 
-    Computed as explicit differences rather than the expanded dot-product
-    identity: exact zeros for identical rows matter for tie handling. The
-    differences are taken a block of rows at a time, so the temporary stays
-    near BUDGET bytes; each output row depends on its input row alone, so
-    the result does not depend on the block size.
+    Computed by the expansion |x|^2 + |y|^2 - 2 x.y, with the cross term from
+    `einsum` rather than BLAS: each output row then depends on its input row
+    alone, so a row computed alone equals the same row inside a batch. The
+    only temporaries beyond the (n, k) result are O(n + k) norms, an (n, k)
+    mask and one `pair_sqnorms` block.
+
+    The expansion cancels where x is close to y, so every entry near its
+    row minimum is recomputed from explicit differences by `pair_sqnorms`.
+    That keeps what nearest-prototype decisions and ties depend on equal to
+    the explicit-difference kernel bit for bit: each row minimum, the
+    lowest index attaining it, and the exact zero of coincident rows.
+
+    The window. Let u = eps / 2 be the unit roundoff, s = |x|^2 + |y|^2 and
+    t = |x - y|^2 <= 2 s. With gamma_j = j u / (1 - j u), the explicit
+    differences round to within gamma_{m+2} t <= 2 gamma_{m+2} s of t (one
+    subtraction, one square and m - 1 additions per term). The expansion
+    rounds |x|^2, |y|^2 and x.y to within gamma_m of their absolute sums,
+    which costs at most gamma_m (|x| + |y|)^2 <= 2 gamma_m s, and its two
+    additions add u (|x|^2 + 2 |x.y|) + u t <= 4 u s more, to first order. So
+    the two kernels differ by at most about (4m + 8) u s, within
+
+        B = 2 (m + 4) (eps (|x|^2 + max_j |y_j|^2) + 2^-1073)
+
+    per row, whose slack of 8 u s also covers the rounding of B and of the
+    window test; the last term covers gradual underflow, where each of the
+    at most 5m products loses up to 2^-1075 absolutely. The entry attaining
+    the explicit-difference row minimum o is computed at most B above o and
+    the computed row minimum lies at most B below it, so every entry
+    attaining o lies within 2B of the computed row minimum and is
+    recomputed. Every entry left out is computed more than B above o, so
+    its explicit-difference value exceeds o: it can neither attain nor tie
+    the minimum. A row holding a NaN is recomputed whole.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     (n, m), k = X.shape, Y.shape[0]
-    out = np.empty((n, k))
-    rows = max(1, BUDGET // max(1, 8 * k * m))
-    for start in range(0, n, rows):
-        diff = X[start:start + rows, None, :] - Y[None, :, :]
-        out[start:start + rows] = np.einsum("nkm,nkm->nk", diff, diff)
+    if n == 0 or k == 0:
+        return np.zeros((n, k))
+    x2 = np.einsum("im,im->i", X, X)
+    y2 = np.einsum("km,km->k", Y, Y)
+    out = np.einsum("im,km->ik", X, Y)
+    out *= -2.0
+    out += x2[:, None]
+    out += y2
+    bound = 2 * (m + 4) * (np.finfo(np.float64).eps * (x2 + y2.max()) + 2.0 ** -1073)
+    window = out.min(axis=1) + 2 * bound
+    i, j = np.nonzero(~(out > window[:, None]))  # NaN rows fail every test
+    out[i, j] = pair_sqnorms(X, Y, i, j)
+    return out
+
+
+def pair_sqnorms(X: np.ndarray, Y: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|X[i[p]] - Y[j[p]]|^2 for each p, from explicit differences.
+
+    The differences are taken about BUDGET bytes of pairs at a time; each
+    entry depends on its own pair alone, so the result does not depend on
+    the block size and is bit-equal to the same entry of an (n, k, m)
+    difference tensor.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    out = np.empty(len(i))
+    step = max(1, BUDGET // max(1, 8 * X.shape[1]))
+    for start in range(0, len(i), step):
+        diff = X[i[start:start + step]] - Y[j[start:start + step]]
+        out[start:start + step] = np.einsum("pm,pm->p", diff, diff)
     return out
 
 

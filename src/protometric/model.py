@@ -447,10 +447,12 @@ def leaf_posterior(model: EmbeddingModel, X, proto_leaf: np.ndarray | None,
     with a head, else the softmin of the distances to the leaf prototypes
     `proto_leaf` (taxonomy leaf order).
 
-    `block` rows at a time bound the forward pass (the distance temporary is
-    bounded by `pairwise_sqnorms` itself); None takes all rows at once. BLAS
-    may round a short block differently from the same rows inside a long
-    one, so the bytes depend on `block`.
+    `block` rows at a time bound the forward pass; None takes all rows at
+    once. The distances need no blocking: `pairwise_sqnorms` holds nothing
+    beyond its (n, K) result but O(n + K) norms, an (n, K) mask and a ~1 MiB
+    pair block, and its rows do not depend on the batch. BLAS in the forward
+    pass may round a short block differently from the same rows inside a
+    long one, so the bytes depend on `block`.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]

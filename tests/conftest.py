@@ -5,8 +5,7 @@ import pytest
 
 import protometric as pm
 from protometric.distortion import l2_scale
-from protometric.geometry import (EUCLIDEAN, DistanceSpec, dist_from_sqnorm,
-                                  grad_weight_from_sqnorm, pairwise_sqnorms)
+from protometric.geometry import EUCLIDEAN, DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm
 
 # Six nodes, three leaves; the toy hierarchy used across the suite.
 TOY_EDGE_LIST = "a1\tA\na2\tA\nb1\tB\nA\troot\nB\troot\n"
@@ -145,17 +144,19 @@ def distance_gradient(spec: DistanceSpec, u, v) -> tuple[np.ndarray, np.ndarray]
 
 
 def pairwise_distances(spec: DistanceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """(n, k) matrix of d(X[i], Y[j])."""
-    return dist_from_sqnorm(spec, pairwise_sqnorms(X, Y))
+    """(n, k) matrix of d(X[i], Y[j]), from the explicit-difference oracle."""
+    return dist_from_sqnorm(spec, one_shot_sqnorms(X, Y))
 
 
 # ---------------------------------------------------------------------------
-# The kernels that geometry.pair_contract and the blocked
-# geometry.pairwise_sqnorms replaced, kept as their oracles
+# The kernels that geometry.pair_contract and geometry.pairwise_sqnorms
+# replaced, kept as their oracles
 # ---------------------------------------------------------------------------
 
 def one_shot_sqnorms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """pairwise_sqnorms from one (n, k, m) difference tensor."""
+    """(n, k) squared norms from one (n, k, m) difference tensor: the
+    explicit-difference kernel that pairwise_sqnorms matches at each row
+    minimum and pair_sqnorms matches everywhere."""
     diff = np.asarray(X, dtype=np.float64)[:, None, :] - np.asarray(Y, dtype=np.float64)[None]
     return np.einsum("nkm,nkm->nk", diff, diff)
 

@@ -137,28 +137,68 @@ def test_pairwise_distances_agree_with_scalar():
                     distance(spec, X[i], Y[j]), rel=1e-12, abs=1e-15)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(1, 70),
-       st.sampled_from((-1, 0, 1)), st.booleans())
-@example(0, 1, 1, 1, True)
-@example(0, 1, 1, -1, False)
-@example(0, 1, 70, 0, True)
-@example(0, 120, 1, 1, False)
-def test_blocked_sqnorms_equal_one_shot(seed, k, m, offset, ties):
-    # n around the block height and 0/1: the bytes must not depend on blocking
-    rows = max(1, geometry.BUDGET // (8 * k * m))
+def _row_bound(X, Y):
+    """B of the pairwise_sqnorms docstring, per row of X."""
+    m, eps = X.shape[1], np.finfo(np.float64).eps
+    x2, y2 = (X * X).sum(axis=1), (Y * Y).sum(axis=1)
+    return 2 * (m + 4) * (eps * (x2 + y2.max()) + 2.0 ** -1073)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0, 1, 2, 50)), st.integers(1, 60),
+       st.integers(1, 70), st.sampled_from(("normal", "grid", "midpoints", "radii")))
+@example(0, 0, 1, 1, "normal")
+@example(0, 1, 1, 1, "grid")
+@example(0, 50, 1, 70, "grid")
+@example(0, 50, 2, 3, "midpoints")
+@example(0, 50, 60, 1, "radii")
+@example(0, 50, 60, 64, "radii")
+def test_expanded_sqnorms_against_explicit_differences(seed, n, k, m, layout):
     rng = np.random.default_rng(seed)
+    if layout == "grid":  # a small grid, full of equal norms and ties
+        X, Y = (rng.integers(-1, 2, (rows, m)).astype(float) for rows in (n, k))
+    elif layout == "normal":
+        X, Y = rng.standard_normal((n, m)), rng.standard_normal((k, m))
+    elif layout == "midpoints":  # ties in exact arithmetic that each kernel rounds its own way
+        Y = rng.standard_normal((k, m)) * 10.0 ** rng.uniform(-2, 2, (k, 1))
+        X = (Y[rng.integers(0, k, n)] + Y[rng.integers(0, k, n)]) / 2
+    else:  # criterion 8's layout: prototypes at radii 1e-3 to 1e6 about a centre
+        centre = rng.standard_normal(m)
 
-    def draw(*shape):  # ties: a small grid, full of equal norms
-        return rng.integers(-1, 2, shape).astype(float) if ties else rng.standard_normal(shape)
+        def around(rows):
+            dirs = rng.standard_normal((rows, m))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            return centre + 10.0 ** rng.uniform(-3, 6, (rows, 1)) * dirs
 
-    for n in {0, 1, rows + offset}:
-        X, Y = draw(n, m), draw(k, m)
-        if ties and n:
-            X[rng.integers(0, n, k)] = Y  # exact zeros
-        got = geometry.pairwise_sqnorms(X, Y)
-        assert got.shape == (n, k)
-        np.testing.assert_array_equal(got, one_shot_sqnorms(X, Y))
+        X, Y = around(n), around(k)
+        X[:n // 2] = centre
+    if n and layout != "radii":
+        X[rng.integers(0, n, k)] = Y  # coincident rows
+    got = geometry.pairwise_sqnorms(X, Y)
+    want = one_shot_sqnorms(X, Y)
+    assert got.shape == (n, k)
+    if n == 0:
+        return
+    np.testing.assert_array_equal(got.min(axis=1), want.min(axis=1))
+    np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
+    assert np.all(got[want == 0] == 0)
+    assert np.all(np.abs(got - want) <= _row_bound(X, Y)[:, None])
+    for r in range(n):  # a row alone is the same row in a batch
+        np.testing.assert_array_equal(geometry.pairwise_sqnorms(X[r:r + 1], Y)[0], got[r])
+
+
+@pytest.mark.parametrize("m", [1, 7, 64])
+def test_pair_sqnorms_blocks_equal_one_gather(m):
+    step = geometry.BUDGET // (8 * m)
+    rng = np.random.default_rng(m)
+    X, Y = rng.standard_normal((30, m)), rng.standard_normal((20, m))
+    X[3] = Y[5]
+    for count in (0, 1, step - 1, step, step + 1, 2 * step + 1):
+        i, j = rng.integers(0, 30, count), rng.integers(0, 20, count)
+        diff = X[i] - Y[j]
+        got = geometry.pair_sqnorms(X, Y, i, j)
+        np.testing.assert_array_equal(got, np.einsum("pm,pm->p", diff, diff))
+        np.testing.assert_array_equal(got, one_shot_sqnorms(X, Y)[i, j])
 
 
 def test_pair_contract_sums_weighted_differences():

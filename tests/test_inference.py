@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import protometric as pm
 from protometric import DistanceSpec, PrototypeSet
-from protometric.inference import _decide
+from protometric.inference import _decide, top3
 
 from conftest import distance, random_taxonomy_with_leaves
 
@@ -289,3 +292,14 @@ def test_batch_predict_matches_single_sample_functions(scheme):
         np.testing.assert_array_equal(P[i], one.posterior)
         if one.expected_costs is not None:
             np.testing.assert_allclose(ec[i], one.expected_costs, rtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.sampled_from((1, 2, 3, 4, 40)).flatmap(
+    lambda K: arrays(np.float64, (n, K), elements=st.sampled_from((0.0, 1 / 3, 2 / 3, 1.0))))))
+@example(np.zeros((0, 1)))
+@example(np.full((2, 2), 0.5))
+@example(np.array([[0.0, 1.0, 1.0, 0.0, 1.0]]))
+def test_top3_is_the_stable_sort_prefix(P):
+    # a grid full of ties: the lowest index wins each, as in the stable sort
+    np.testing.assert_array_equal(top3(P), np.argsort(-P, axis=1, kind="stable")[:, :3])

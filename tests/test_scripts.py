@@ -72,11 +72,11 @@ def test_sweep_runs_are_byte_identical(tmp_path):
     report = json.loads(disto.read_text())
     report["scale_free_distortion"] *= 1 + 1e-10
     disto.write_text(json.dumps(report))
-    # a disto-trained arm's CSV: numeric cells within the bound, text cells exact
-    arms = sweep._disto_prototype_arms()
-    assert "disto" in arms and "huber" in arms and "mean-aggregate" in arms
-    assert not {"rank", "unregularized", "lambda0", "fixed-proto-rank", "cross-entropy",
-                "soft-labels"} & set(arms)
+    # a prototype-head arm's CSV: numeric cells within the bound, text cells exact
+    arms = sweep._prototype_head_arms()
+    assert {"disto", "huber", "mean-aggregate", "rank", "unregularized", "lambda0",
+            "fixed-proto-rank"} <= set(arms)
+    assert not {"cross-entropy", "cross-entropy-any-node", "soft-labels"} & set(arms)
     tolerated = tmp_path / "b" / "infer" / "disto" / "max-prob.csv"
     header, first, *rest = tolerated.read_text().split("\n")
     cells = first.split(",")
