@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .formats import Record
-from .geometry import (DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract,
-                       pair_sqnorms)
+from .geometry import DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract
 from .taxonomy import FiniteMetric
 
 
@@ -112,7 +112,7 @@ def _pair_data(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec):
     costs = metric.costs[iu, ju]
     if np.any(costs <= 0):
         raise ValueError("cost matrix has a zero or negative off-diagonal entry")
-    sq = pair_sqnorms(pi.coords, pi.coords, iu, ju)
+    sq = geometry.pairwise_sqnorms(pi.coords, pi.coords)[iu, ju]
     d = dist_from_sqnorm(spec, sq)
     return d, sq, costs, iu, ju
 
@@ -346,17 +346,21 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
     K, m = pi.size, pi.dim
     if K * m > LM_MAX_UNKNOWNS:
         return pi
-    d, _, t, iu, ju = _pair_data(pi, metric, DistanceSpec())
-    target = t / l2_scale(d, t)
+    _, _, t, iu, ju = _pair_data(pi, metric, DistanceSpec())
     rows = np.arange(K)
 
-    def loss(c):
+    def pairs(c):
         diff = c[iu] - c[ju]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff)), diff
+
+    def loss(c):
+        d, diff = pairs(c)
         r = (d - target) / t
         return 0.5 * float(r @ r), r, d, diff
 
     coords = pi.coords
+    # the starting scale from the explicit differences every step takes
+    target = t / l2_scale(pairs(coords)[0], t)
     val, r, d, diff = loss(coords)
     gauge = _gauge_basis(coords)
     lam = 1e-3

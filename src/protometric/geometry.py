@@ -9,10 +9,13 @@ which matches |x| - delta asymptotically and |x|^2 / (2 delta) near zero.
 All three are strictly increasing functions of the Euclidean norm, which
 downstream nearest-prototype search relies on.
 
-Squared norms come from two kernels: `pairwise_sqnorms` for every pair of
-two row sets, by the dot-product expansion with an exact recompute around
-each row's minimum, and `pair_sqnorms` for listed pairs, from explicit
-differences. `pair_contract` turns per-pair weights into row gradients.
+Squared norms come from one kernel, `pairwise_sqnorms`, for every pair of
+two row sets: the dot-product expansion, with the entries that expansion
+cannot get to relative accuracy TAU recomputed from explicit differences
+by `pair_sqnorms`. Every entry is then within relative TAU of the
+explicit-difference value, and each row minimum, its lowest-index argmin
+and each exact zero equal it bit for bit. `pair_contract` turns per-pair
+weights into row gradients.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ def grad_weight_from_sqnorm(spec: DistanceSpec, sq):
 
 
 BUDGET = 1 << 20  # bytes of one block of pair differences in pair_sqnorms
+TAU = 2.0 ** -40  # relative accuracy of every pairwise_sqnorms entry
 
 
 def pairwise_sqnorms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -84,32 +88,47 @@ def pairwise_sqnorms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     only temporaries beyond the (n, k) result are O(n + k) norms, an (n, k)
     mask and one `pair_sqnorms` block.
 
-    The expansion cancels where x is close to y, so every entry near its
-    row minimum is recomputed from explicit differences by `pair_sqnorms`.
-    That keeps what nearest-prototype decisions and ties depend on equal to
-    the explicit-difference kernel bit for bit: each row minimum, the
-    lowest index attaining it, and the exact zero of coincident rows.
+    The expansion cancels where x is close to y, so every entry it cannot
+    vouch for is recomputed from explicit differences by `pair_sqnorms`:
+    each entry near its row minimum, which keeps what nearest-prototype
+    decisions and ties depend on equal to the explicit-difference kernel bit
+    for bit (each row minimum, the lowest index attaining it, and the exact
+    zero of coincident rows), and each entry small against the norms, which
+    keeps every entry within relative TAU of that kernel.
 
-    The window. Let u = eps / 2 be the unit roundoff, s = |x|^2 + |y|^2 and
+    The bound. Let u = eps / 2 be the unit roundoff, s = |x|^2 + |y|^2 and
     t = |x - y|^2 <= 2 s. With gamma_j = j u / (1 - j u), the explicit
     differences round to within gamma_{m+2} t <= 2 gamma_{m+2} s of t (one
     subtraction, one square and m - 1 additions per term). The expansion
     rounds |x|^2, |y|^2 and x.y to within gamma_m of their absolute sums,
     which costs at most gamma_m (|x| + |y|)^2 <= 2 gamma_m s, and its two
     additions add u (|x|^2 + 2 |x.y|) + u t <= 4 u s more, to first order. So
-    the two kernels differ by at most about (4m + 8) u s, within
+    the two kernels differ by at most about E = (4m + 8) u s, within
 
         B = 2 (m + 4) (eps (|x|^2 + max_j |y_j|^2) + 2^-1073)
 
     per row, whose slack of 8 u s also covers the rounding of B and of the
     window test; the last term covers gradual underflow, where each of the
-    at most 5m products loses up to 2^-1075 absolutely. The entry attaining
-    the explicit-difference row minimum o is computed at most B above o and
-    the computed row minimum lies at most B below it, so every entry
-    attaining o lies within 2B of the computed row minimum and is
-    recomputed. Every entry left out is computed more than B above o, so
-    its explicit-difference value exceeds o: it can neither attain nor tie
-    the minimum. A row holding a NaN is recomputed whole.
+    at most 5m products loses up to 2^-1075 absolutely.
+
+    The window. An entry is recomputed unless it is computed above
+    max(row minimum + 2B, B / TAU); one mask pass, and B / TAU is exact, TAU
+    being a power of two. The minimum: the entry attaining the
+    explicit-difference row minimum o is computed at most B above o and the
+    computed row minimum lies at most B below it, so every entry attaining
+    o lies within 2B of the computed row minimum and is recomputed; every
+    entry left out is computed more than B above o, so its explicit value
+    exceeds o and can neither attain nor tie the minimum. The relative
+    accuracy: an entry computed as c > B / TAU has an explicit value
+    t >= c - E > B / TAU - E, so TAU t > B - TAU E >= E (B - E >= 8 u s
+    exceeds TAU E for any m below 2^40), and |c - t| <= E < TAU t. A row
+    holding a NaN is recomputed whole.
+
+    TAU = 2^-40, about 9.1e-13, sets the trade. The window's second term is
+    (m + 4) 2^-11 s, so only pairs closer than a few percent of the squared
+    norms pay for a recompute, and none did on trained prototypes; the
+    distances (relative TAU / 2) and every mean, scale and ratio built from
+    them stay two orders inside the 1e-10 that the artifact sweep allows.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -125,7 +144,7 @@ def pairwise_sqnorms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     out += x2[:, None]
     out += y2
     bound = 2 * (m + 4) * (np.finfo(np.float64).eps * (x2 + y2.max()) + 2.0 ** -1073)
-    window = out.min(axis=1) + 2 * bound
+    window = np.maximum(out.min(axis=1) + 2 * bound, bound / TAU)
     i, j = np.nonzero(~(out > window[:, None]))  # NaN rows fail every test
     out[i, j] = pair_sqnorms(X, Y, i, j)
     return out

@@ -66,6 +66,12 @@ class EmbeddingModel(Record):
         return sum(din * dout + dout for din, dout in self.layer_dims())
 
 
+def _check_widths(hidden) -> None:
+    for width in hidden:
+        if width < 1:
+            raise ValueError(f"hidden layer width {width} must be >= 1")
+
+
 def _validate_model(model: EmbeddingModel) -> None:
     if model.kind not in ARCHITECTURES:
         raise ValueError(f"unknown architecture '{model.kind}'")
@@ -73,6 +79,7 @@ def _validate_model(model: EmbeddingModel) -> None:
         raise ValueError(f"unknown activation '{model.activation}'")
     if model.kind == "identity" and model.input_dim != model.output_dim:
         raise ValueError("identity architecture requires input_dim == output_dim")
+    _check_widths(model.hidden)
     if model.params.shape != (model.param_count(),):
         raise ValueError(
             f"parameter vector has size {model.params.size}, architecture "
@@ -301,6 +308,7 @@ class TrainConfig(Record):
         if self.regularizer == "rank" and self.triplet_count < 1:
             raise ValueError("rank regularizer needs triplet_count >= 1")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        _check_widths(self.hidden)
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,8 @@ def pairwise_distances(spec: DistanceSpec, X: np.ndarray, Y: np.ndarray) -> np.n
 def one_shot_sqnorms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """(n, k) squared norms from one (n, k, m) difference tensor: the
     explicit-difference kernel that pairwise_sqnorms matches at each row
-    minimum and pair_sqnorms matches everywhere."""
+    minimum and within relative TAU elsewhere, and pair_sqnorms matches
+    everywhere."""
     diff = np.asarray(X, dtype=np.float64)[:, None, :] - np.asarray(Y, dtype=np.float64)[None]
     return np.einsum("nkm,nkm->nk", diff, diff)
 

@@ -146,13 +146,14 @@ def _row_bound(X, Y):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from((0, 1, 2, 50)), st.integers(1, 60),
-       st.integers(1, 70), st.sampled_from(("normal", "grid", "midpoints", "radii")))
+       st.integers(1, 70), st.sampled_from(("normal", "grid", "midpoints", "radii", "near")))
 @example(0, 0, 1, 1, "normal")
 @example(0, 1, 1, 1, "grid")
 @example(0, 50, 1, 70, "grid")
 @example(0, 50, 2, 3, "midpoints")
 @example(0, 50, 60, 1, "radii")
 @example(0, 50, 60, 64, "radii")
+@example(0, 50, 20, 8, "near")
 def test_expanded_sqnorms_against_explicit_differences(seed, n, k, m, layout):
     rng = np.random.default_rng(seed)
     if layout == "grid":  # a small grid, full of equal norms and ties
@@ -162,6 +163,12 @@ def test_expanded_sqnorms_against_explicit_differences(seed, n, k, m, layout):
     elif layout == "midpoints":  # ties in exact arithmetic that each kernel rounds its own way
         Y = rng.standard_normal((k, m)) * 10.0 ** rng.uniform(-2, 2, (k, 1))
         X = (Y[rng.integers(0, k, n)] + Y[rng.integers(0, k, n)]) / 2
+    elif layout == "near":  # normal draws shifted by 5, in pairs 1e-8 to 1e-2 apart
+        Y = rng.standard_normal((k, m)) + 5.0
+        dirs = rng.standard_normal((k // 2, m))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        Y[1::2] = Y[::2][:k // 2] + 10.0 ** rng.uniform(-8, -2, (k // 2, 1)) * dirs
+        X = Y[rng.integers(0, k, n)]
     else:  # criterion 8's layout: prototypes at radii 1e-3 to 1e6 about a centre
         centre = rng.standard_normal(m)
 
@@ -183,6 +190,7 @@ def test_expanded_sqnorms_against_explicit_differences(seed, n, k, m, layout):
     np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
     assert np.all(got[want == 0] == 0)
     assert np.all(np.abs(got - want) <= _row_bound(X, Y)[:, None])
+    assert np.all(np.abs(got - want) <= geometry.TAU * want)
     for r in range(n):  # a row alone is the same row in a batch
         np.testing.assert_array_equal(geometry.pairwise_sqnorms(X[r:r + 1], Y)[0], got[r])
 

@@ -171,6 +171,8 @@ def test_infer_on_mutated_feature_csv(inputs, mutation):
     ("checkpoint", ("model",), []),
     ("checkpoint", ("distance",), "huber"),
     ("checkpoint", ("head",), 4),
+    ("config", ("train", "hidden"), [0]),
+    ("checkpoint", ("model", "hidden"), [-3]),
 ])
 def test_malformed_records_exit_2(inputs, kind, path, value):
     doc = copy.deepcopy(inputs[kind])

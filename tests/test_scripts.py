@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/."""
 
 import contextlib
+import fnmatch
 import importlib
 import importlib.util
 import io
@@ -82,13 +83,27 @@ def test_sweep_runs_are_byte_identical(tmp_path):
     cells = first.split(",")
     cells[4] = repr(float(cells[4]) * (1 + 1e-12))
     tolerated.write_text("\n".join([header, ",".join(cells), *rest]))
+    # every arm's distortion figures: the reports carry them, the
+    # checkpoints of the other heads do not
+    for pattern in ("train/cross-entropy/eval_seed*.json", "eval/cross-entropy/*.json",
+                    "train/*/aggregate_eval.json", "embed/rank-*/distortion.json"):
+        assert sweep.TOLERANCES[pattern] == ("json", 1e-10)
+    assert not any(fnmatch.fnmatchcase("train/cross-entropy/checkpoint_seed0.json", pattern)
+                   for pattern in sweep.TOLERANCES)
+    ce_eval = tmp_path / "b" / "eval" / "cross-entropy" / "train-max-prob" / "eval.json"
+    ce_report = json.loads(ce_eval.read_text())
+    ce_report["distortion"]["distortion"] *= 1 + 1e-12
+    ce_eval.write_text(json.dumps(ce_report))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert sweep.diff_trees(a, b) == 1
     assert "differs: infer/cross-entropy/max-prob.csv" in out.getvalue()
+    assert "within tolerance: eval/cross-entropy/train-max-prob/eval.json" in out.getvalue()
     assert "within tolerance: embed/disto-euclidean-leaves-d2/distortion.json" in out.getvalue()
     assert "within tolerance: infer/disto/max-prob.csv" in out.getvalue()
     report["scale_free_distortion"] *= 1 + 1e-6
     disto.write_text(json.dumps(report))
+    ce_report["er"] += 1e-6
+    ce_eval.write_text(json.dumps(ce_report))
     infer.write_text(infer.read_text().replace("max-prib", "max-prob", 1))
     cells[2] = "b2y" if cells[2] != "b2y" else "a1x"  # the predicted class
     tolerated.write_text("\n".join([header, ",".join(cells), *rest]))
@@ -96,4 +111,5 @@ def test_sweep_runs_are_byte_identical(tmp_path):
         assert sweep.diff_trees(a, b) == 1
     assert "beyond tolerance: embed/disto-euclidean-leaves-d2/distortion.json" in out.getvalue()
     assert "beyond tolerance: infer/disto/max-prob.csv (csv deviation inf" in out.getvalue()
+    assert "beyond tolerance: eval/cross-entropy/train-max-prob/eval.json" in out.getvalue()
     assert "differs:" not in out.getvalue()
