@@ -52,7 +52,16 @@ class RunConfig(Record):
             raise ValueError(f"unknown aggregation '{self.aggregate}'")
         if not self.seeds:
             raise ValueError("seed list must not be empty")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        seeds = tuple(int(s) for s in self.seeds)
+        for seed in seeds:
+            _check_seed("seeds", seed)
+        object.__setattr__(self, "seeds", seeds)
+
+
+def _check_seed(name: str, seed: int) -> None:
+    """A random seed is a non-negative integer; `name` is its flag or key."""
+    if seed < 0:
+        raise ValueError(f"{name}: seed {seed} must be >= 0")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -107,6 +116,7 @@ def cmd_embed(args) -> int:
     from .distortion import (PrototypeSet, distortion_report, lm_refine,
                              regularizer_loss)
     from .geometry import DistanceSpec
+    from .model import TrainingDivergedError
     from .optim import OptimizerSpec, make_optimizer
     from .taxonomy import cost_matrix
 
@@ -114,6 +124,7 @@ def cmd_embed(args) -> int:
                         ("--triplets", args.triplets)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+    _check_seed("--seed", args.seed)
     opt = make_optimizer(OptimizerSpec(lr=args.lr))
     tax = _read_taxonomy(args.taxonomy, args.format)
     metric = cost_matrix(tax, "all-nodes" if args.nodes == "all" else "leaves-only")
@@ -130,6 +141,9 @@ def cmd_embed(args) -> int:
         _, _, grads = regularizer_loss(args.regularizer, PrototypeSet(coords, node_ids),
                                        metric, spec, rng, args.triplets, exhaustive)
         opt.step({"proto": coords}, {"proto": grads})
+        if not np.all(np.isfinite(coords)):
+            raise TrainingDivergedError(f"non-finite prototypes at step {step + 1} "
+                                        f"(--lr {args.lr})")
     pi = PrototypeSet(coords, node_ids)
     if args.regularizer == "disto" and spec.kind == "euclidean":
         pi = lm_refine(pi, metric)
@@ -155,7 +169,14 @@ def _load_run_config(args) -> RunConfig:
                                        regularizer=args.regularizer))
     cfg = replace(cfg, train=train, **given(scheme=args.scheme, aggregate=args.aggregate))
     if args.seeds is not None:
-        cfg = replace(cfg, seeds=tuple(int(s) for s in args.seeds.split(",")))
+        try:
+            seeds = tuple(int(s) for s in args.seeds.split(","))
+        except ValueError:
+            raise ValueError(f"--seeds: {args.seeds!r} is not a comma-separated "
+                             "list of integers") from None
+        for seed in seeds:
+            _check_seed("--seeds", seed)
+        cfg = replace(cfg, seeds=seeds)
     out = args.output_dir or cfg.output_dir
     if not out:
         root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
@@ -326,6 +347,7 @@ def cmd_synth(args) -> int:
 
     from .data import dataset_to_csv, gen_hierarchical_gaussians
 
+    _check_seed("--seed", args.seed)
     tax = _read_taxonomy(args.taxonomy, args.format)
     rng = np.random.default_rng(args.seed)
     dataset = gen_hierarchical_gaussians(tax, per_class=args.per_class,
@@ -445,8 +467,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    import numpy as np  # only now: _pin_threads has set the BLAS pools
+
     try:
-        return args.func(args)
+        # a numpy overflow or invalid-value warning would be a second stderr
+        # line; the explicit finite checks report the failure itself
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

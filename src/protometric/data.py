@@ -58,6 +58,10 @@ def gen_hierarchical_gaussians(tax: Taxonomy, per_class: int, dims: int,
         raise DataError("dims must be >= 2")
     if not 0 <= decay < 1:
         raise DataError("decay must lie in [0, 1)")
+    if not (np.isfinite(root_spread) and root_spread > 0):
+        raise DataError(f"root_spread must be positive and finite, got {root_spread}")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise DataError(f"noise must be non-negative and finite, got {noise}")
     if not tax.leaf_ids:
         raise DataError("degenerate taxonomy: no leaves")
     if rng is None:

@@ -21,8 +21,8 @@ class OptimizerSpec(Record):
     def __post_init__(self):
         if self.kind not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer '{self.kind}'")
-        if not self.lr > 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
 
 
 class Sgd:

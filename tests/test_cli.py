@@ -81,6 +81,16 @@ class TestCmdCost:
                      "--out", str(tmp_path / "c.csv")]) == 2
 
 
+def run_process(*argv) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of the CLI in a fresh process, where numpy
+    prints its floating-point warnings to stderr as it would for a user."""
+    src = os.path.dirname(os.path.dirname(pm.__file__))
+    done = subprocess.run([sys.executable, "-m", "protometric", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    return done.returncode, done.stderr.splitlines()
+
+
 class TestCmdEmbed:
     def test_chain_metric_embeds_on_a_line(self, tmp_path):
         chain = tmp_path / "chain.tsv"
@@ -122,13 +132,21 @@ class TestCmdEmbed:
 
     @pytest.mark.parametrize("flags", [["--steps", "0"], ["--steps", "-3"], ["--dim", "0"],
                                        ["--triplets", "0"], ["--lr", "0"], ["--lr", "-1"],
-                                       ["--lr", "nan"]])
+                                       ["--lr", "nan"], ["--lr", "inf"]])
     def test_rejects_non_positive_numbers(self, tmp_path, capsys, toy_tax_file, flags):
         out = tmp_path / "embed"
         capsys.readouterr()
         assert main(["embed", toy_tax_file, *flags, "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_diverging_fit_exits_1_with_one_line(self, tmp_path, four_leaf_file):
+        out = tmp_path / "embed"
+        code, err = run_process("embed", four_leaf_file, "--lr", "1e300", "--steps", "20",
+                                "--out", str(out))
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith("error: ") and "step" in err[0] and "--lr" in err[0]
         assert not out.exists()
 
     def test_rank_regularizer_runs(self, tmp_path, toy_tax_file):
@@ -238,6 +256,14 @@ class TestCmdTrain:
         assert confusion[0][1:] == names
         protos = list(csv.reader(open(os.path.join(out_dir, "prototypes_seed0.csv"))))
         assert [row[0] for row in protos[1:]] == names
+
+    def test_diverging_fit_exits_1_with_one_line(self, tmp_path, four_leaf_file):
+        data = synth_csv(tmp_path, four_leaf_file, per_class=8)
+        config = write_config(tmp_path, four_leaf_file, data, str(tmp_path / "run"),
+                              train={"epochs": 2, "optimizer": {"kind": "adam", "lr": 1e300}})
+        code, err = run_process("train", config)
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith("error: ") and "lr=1e+300" in err[0]
 
     def test_missing_dataset_exits_2(self, tmp_path, four_leaf_file):
         config = write_config(tmp_path, four_leaf_file,

@@ -173,6 +173,7 @@ def test_infer_on_mutated_feature_csv(inputs, mutation):
     ("checkpoint", ("head",), 4),
     ("config", ("train", "hidden"), [0]),
     ("checkpoint", ("model", "hidden"), [-3]),
+    ("config", ("seeds",), [-1]),
 ])
 def test_malformed_records_exit_2(inputs, kind, path, value):
     doc = copy.deepcopy(inputs[kind])
@@ -260,6 +261,31 @@ def test_integer_too_large_for_a_float_exits_2(inputs):
     case.write_text(config)
     fails(["train", str(case), "--output-dir", str(inputs["root"] / "huge_run")],
           "'train.lambda' is too large for a float")
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("embed", ["--seed", "-1"], "--seed: seed -1 must be >= 0"),
+    ("synth", ["--seed", "-1"], "--seed: seed -1 must be >= 0"),
+    ("train", ["--seeds", "1,-2"], "--seeds: seed -2 must be >= 0"),
+    ("train", ["--seeds", "1,x"], "--seeds: '1,x' is not"),
+    ("train", [], "seeds: seed -1 must be >= 0"),
+    ("synth", ["--noise", "-1"], "noise must be non-negative and finite, got -1.0"),
+    ("synth", ["--noise", "nan"], "noise must be non-negative and finite, got nan"),
+    ("synth", ["--root-spread", "0"], "root_spread must be positive and finite, got 0.0"),
+    ("synth", ["--root-spread", "inf"], "root_spread must be positive and finite, got inf"),
+])
+def test_bad_numbers_name_their_input(inputs, command, flags, message):
+    root = inputs["root"]
+    out = root / f"bad_{command}_out"
+    if command == "train":
+        config = dict(inputs["config"], seeds=[0] if flags else [-1])
+        case = root / "bad_seed_config.json"
+        case.write_text(json.dumps(config))
+        argv = ["train", str(case), "--output-dir", str(out)]
+    else:
+        argv = [command, inputs["tax"], "--out", str(out)]
+    fails(argv + flags, message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["config", "checkpoint", "json-tree"])
