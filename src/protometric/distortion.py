@@ -385,6 +385,7 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
     val, r, d, diff = loss(coords)
     gauge = _gauge_basis(coords)
     lam = 1e-3
+    stalled = False
     for _ in range(iters):
         a = diff / np.maximum(d[:, None], 1e-300) / t[:, None]
         blocks = np.zeros((K, m, K, m))

@@ -479,10 +479,10 @@ class TestRegularizerLoss:
             regularizer_loss("none", pi, metric, EUC)
 
 
-def dense_lm_refine(coords, costs, iters=200):
+def dense_lm_refine(coords, costs, iters=200, min_decrease=LM_MIN_DECREASE):
     """Reference LM polish: the dense P x (K*m) Jacobian built pair by pair,
     each step projected off the rigid motions and stopped by the same rules
-    as in `lm_refine`."""
+    as in `lm_refine`, with `min_decrease` in place of LM_MIN_DECREASE."""
     K, m = coords.shape
     iu, ju = np.triu_indices(K, k=1)
     t = costs[iu, ju]
@@ -523,7 +523,7 @@ def dense_lm_refine(coords, costs, iters=200):
             cand = coords + delta.reshape(K, m)
             v2, r2, d2 = loss(cand)
             if v2 < val:
-                stalled = val - v2 < LM_MIN_DECREASE * val
+                stalled = val - v2 < min_decrease * val
                 coords, val, r, d = cand, v2, r2, d2
                 gauge = _gauge_basis(coords)
                 lam = max(lam / 3.0, 1e-12)
@@ -536,6 +536,14 @@ def dense_lm_refine(coords, costs, iters=200):
 
 
 class TestLmRefine:
+    # the 27-leaf polish stops after one step; the tests that follow its
+    # trajectory switch the relative stop off so they run all 200 steps
+    _MODULE = importlib.import_module("protometric.distortion")
+
+    @classmethod
+    def _without_relative_stop(cls):
+        return mock.patch.object(cls._MODULE, "LM_MIN_DECREASE", 0.0)
+
     @staticmethod
     def _adam_fit(metric, dim, steps=300, seed=0):
         """The Adam stage of `embed`, which the polish starts from."""
@@ -576,7 +584,7 @@ class TestLmRefine:
         # the objective by about 2e-6 of its value
         metric = self._tree27()
         pi = self._adam_fit(metric, 2)
-        module = importlib.import_module("protometric.distortion")
+        module = self._MODULE
         pair_gradient = module._pair_gradient
 
         def polish(min_decrease):
@@ -604,8 +612,9 @@ class TestLmRefine:
         metric = self._tree27()
         assert metric.size == 27
         pi = self._adam_fit(metric, 2)
-        got = lm_refine(pi, metric)
-        want = pi.with_coords(dense_lm_refine(pi.coords, metric.costs))
+        with self._without_relative_stop():
+            got = lm_refine(pi, metric)
+        want = pi.with_coords(dense_lm_refine(pi.coords, metric.costs, min_decrease=0.0))
         a, b = pm.distortion_report(got, metric, EUC), pm.distortion_report(want, metric, EUC)
         assert a.scale_free_distortion > 0.1  # not embeddable in the plane
         assert a.scale_free_distortion == pytest.approx(b.scale_free_distortion, rel=1e-8)
@@ -619,8 +628,9 @@ class TestLmRefine:
         metric = self._tree27()
         pi = self._adam_fit(metric, 2)
         nudged = pi.with_coords(pi.coords * (1 + 1e-15))
-        np.testing.assert_allclose(lm_refine(nudged, metric).coords,
-                                   lm_refine(pi, metric).coords, rtol=0, atol=1e-10)
+        with self._without_relative_stop():
+            np.testing.assert_allclose(lm_refine(nudged, metric).coords,
+                                       lm_refine(pi, metric).coords, rtol=0, atol=1e-10)
 
     def test_above_the_cap_returns_input_unchanged(self):
         K = 65

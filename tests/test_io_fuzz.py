@@ -173,7 +173,6 @@ def test_infer_on_mutated_feature_csv(inputs, mutation):
     ("checkpoint", ("head",), 4),
     ("config", ("train", "hidden"), [0]),
     ("checkpoint", ("model", "hidden"), [-3]),
-    ("config", ("seeds",), [-1]),
 ])
 def test_malformed_records_exit_2(inputs, kind, path, value):
     doc = copy.deepcopy(inputs[kind])
