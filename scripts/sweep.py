@@ -63,6 +63,7 @@ ARMS = {
     "cross-entropy-any-node": ({"head": "cross-entropy"}, {"scheme": "any-node"}),
     "soft-labels": ({"head": "soft-labels", "beta": 5.0}, {"scheme": "min-ec"}),
     "sgd": ({"optimizer": {"kind": "sgd", "lr": 0.05, "momentum": 0.9}}, {}),
+    "identity": ({"architecture": "identity", "hidden": [], "m": 6}, {}),
     "linear": ({"architecture": "linear", "hidden": []}, {}),
     "tanh": ({"activation": "tanh", "hidden": [8, 8]}, {}),
     "mean-aggregate": ({}, {"aggregate": "mean", "seeds": [0, 1, 2]}),

@@ -209,17 +209,14 @@ def cmd_train(args) -> int:
         result = train(train_set, tax, metric, replace(cfg.train, seed=seed), rng)
 
         tag = f"seed{seed}"
-        save_checkpoint(os.path.join(out, f"checkpoint_{tag}.json"),
-                        result.model, result.prototypes, cfg.train.distance,
-                        tax, head=result.head)
+        ckpt = Checkpoint(model=result.model, prototypes=result.prototypes,
+                          distance=cfg.train.distance, taxonomy=tax, head=result.head)
+        save_checkpoint(os.path.join(out, f"checkpoint_{tag}.json"), ckpt)
         _write_text(os.path.join(out, f"history_{tag}.csv"), result.history.to_csv())
         _write_text(os.path.join(out, f"history_{tag}.json"), result.history.to_json())
         _write_text(os.path.join(out, f"prototypes_{tag}.csv"),
                     _prototypes_csv(result.prototypes, tax))
 
-        ckpt = Checkpoint(model=result.model, prototypes=result.prototypes,
-                          distance=cfg.train.distance, taxonomy=tax,
-                          head=result.head)
         report = _evaluate_checkpoint(ckpt, tax, test_set, cfg.scheme)
         _write_json(os.path.join(out, f"eval_{tag}.json"), report.to_dict())
         _write_text(os.path.join(out, f"confusion_{tag}.csv"),
@@ -445,15 +442,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _pin_threads(argv: list[str]) -> None:
-    """Set BLAS thread env vars before numpy is imported anywhere."""
+    """Set BLAS thread env vars before numpy is imported anywhere.
+
+    A count below 1 raises ValueError and sets none: OpenBLAS would take it
+    as "all cores", and subprocesses would inherit it. A value that is not
+    an integer is left for the parser to report.
+    """
     threads = None
     for i, arg in enumerate(argv):
         if arg == "--threads" and i + 1 < len(argv):
             threads = argv[i + 1]
         elif arg.startswith("--threads="):
             threads = arg.split("=", 1)[1]
-    if threads is None:
+    try:
+        threads = int(threads)
+    except (TypeError, ValueError):
         return
+    if threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {threads}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(threads)
@@ -461,10 +467,13 @@ def _pin_threads(argv: list[str]) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _pin_threads(argv)
     parser = _build_parser()
     try:
+        _pin_threads(argv)
         args = parser.parse_args(argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         return int(exc.code or 0)
     import numpy as np  # only now: _pin_threads has set the BLAS pools

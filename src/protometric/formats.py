@@ -4,7 +4,9 @@ A record is a dataclass that mixes in `Record`. Its JSON keys are its field
 names (field metadata "key" renames one), and an absent key takes the field
 default. `from_dict` rejects an unknown key, a section that is not an object
 and a value of the wrong JSON type with a ValueError naming the key path; a
-float field also takes a JSON integer. Value checks stay with each class.
+float field also takes a JSON integer. A float field or number array must be
+finite, which rejects a literal beyond the float range such as 1e309 (read
+as inf). Value checks stay with each class.
 Imports no numpy: the CLI's run config is built before `--threads` pins BLAS.
 """
 
@@ -101,9 +103,12 @@ def _decode(hint, value, path: str):
         if type(value) not in takes:
             raise _wrong_type(path, want, value)
         try:
-            return hint(value)
+            value = hint(value)
         except OverflowError:  # a JSON integer beyond the float range
             raise ValueError(f"{path!r} is too large for a float") from None
+        if hint is float and not math.isfinite(value):
+            raise ValueError(f"{path!r} must be finite, got {value}")
+        return value
     kind, inner = _unwrap(hint)
     if kind == "optional":
         return None if value is None else _decode(inner, value, path)
@@ -126,6 +131,8 @@ def _decode(hint, value, path: str):
         cells = itertools.chain.from_iterable(cells)
     if bool in map(type, cells):
         raise ValueError(f"{path!r} must be an array of numbers, got a boolean in it")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{path!r} must be an array of finite numbers")
     return array.astype(np.float64, copy=False)
 
 

@@ -40,6 +40,8 @@ class DistanceSpec(Record):
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown distance kind '{self.kind}'")
+        if not np.isfinite(self.delta):
+            raise ValueError(f"distance delta must be finite, got {self.delta}")
         if self.kind == HUBER and not self.delta > 0:
             raise ValueError("huber distance needs delta > 0")
 

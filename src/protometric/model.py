@@ -94,13 +94,9 @@ def init_embedding_model(kind: str, input_dim: int, output_dim: int,
                          rng: np.random.Generator | None = None) -> EmbeddingModel:
     """Fresh model with N(0, 1/fan_in) weights and zero biases."""
     model = EmbeddingModel(kind, input_dim, output_dim, tuple(hidden), activation)
-    if model.kind == "identity":
-        model.params = np.zeros(0)
-        _validate_model(model)
-        return model
     if rng is None:
         rng = np.random.default_rng(0)
-    chunks = []
+    chunks = [np.zeros(0)]  # a model of no layers has no parameters
     for din, dout in model.layer_dims():
         chunks.append(rng.standard_normal((dout, din)).ravel() / np.sqrt(din))
         chunks.append(np.zeros(dout))
@@ -141,49 +137,34 @@ def forward(model: EmbeddingModel, x) -> np.ndarray:
 
 
 def _forward_cache(model: EmbeddingModel, X: np.ndarray):
-    if model.kind == "identity":
-        return X, [X]
+    """Embeddings of the rows of X, and each layer's (input, pre-activation)
+    pair; every layer but the last is activated."""
     layers = _unpack(model)
-    cache = [X]
+    cache = []
     H = X
-    last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
         Z = H @ W.T + b
-        if model.kind == "mlp" and i < last:
-            H = _activate(model.activation, Z)
-            cache.append(Z)
-            cache.append(H)
-        else:
-            H = Z
-            cache.append(Z)
+        cache.append((H, Z))
+        H = _activate(model.activation, Z) if i < len(layers) - 1 else Z
     return H, cache
 
 
 def _backward(model: EmbeddingModel, cache, dE: np.ndarray) -> np.ndarray:
     """Gradient of a scalar loss wrt the flat parameters, given dloss/dE."""
-    if model.kind == "identity":
-        return np.zeros(0)
     layers = _unpack(model)
-    grads = [None] * len(layers)
-    dZ = dE
-    pos = len(cache) - 1
-    for i in range(len(layers) - 1, -1, -1):
-        W, _ = layers[i]
-        pos -= 1  # skip this layer's Z (or post-activation H handled below)
-        if model.kind == "mlp" and i < len(layers) - 1:
-            # dZ currently holds dloss/dH for the activation output at `pos+1`
-            Z = cache[pos]
-            if model.activation == "relu":
-                dZ = dZ * (Z > 0)
-            else:
-                dZ = dZ * (1.0 - np.tanh(Z) ** 2)
-            pos -= 1
-        H_in = cache[pos]
-        dW = dZ.T @ H_in
-        db = dZ.sum(axis=0)
-        grads[i] = (dW, db)
-        dZ = dZ @ W
-    return np.concatenate([np.concatenate([dW.ravel(), db]) for dW, db in grads])
+    grads = [np.zeros(0)]  # each layer inserts its pair: [W0, b0, W1, b1, ...]
+    dH = dE
+    for i in reversed(range(len(layers))):
+        (H_in, Z), (W, _) = cache[i], layers[i]
+        if i == len(layers) - 1:
+            dZ = dH
+        elif model.activation == "relu":
+            dZ = dH * (Z > 0)
+        else:
+            dZ = dH * (1.0 - np.tanh(Z) ** 2)
+        grads[1:1] = [(dZ.T @ H_in).ravel(), dZ.sum(axis=0)]
+        dH = dZ @ W
+    return np.concatenate(grads)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +274,16 @@ class TrainConfig(Record):
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"unknown regularizer '{self.regularizer}'")
         if self.head not in HEADS:
             raise ValueError(f"unknown head '{self.head}'")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule '{self.schedule}'")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.epochs < 1 or self.batch_size < 1 or self.m < 1:
             raise ValueError("epochs, batch_size and m must be >= 1")
         if self.regularizer == "rank" and self.triplet_count < 1:
@@ -479,12 +460,15 @@ def _fit_prototypes_alone(coords, metric_reg, config, rng, max_steps=10_000,
     opt = make_optimizer(config.optimizer)
     class_map = tuple(range(coords.shape[0]))
     prev = None
-    for _ in range(max_steps):
+    for step in range(max_steps):
         value, _, grads = regularizer_loss(config.regularizer,
                                            PrototypeSet(coords, class_map),
                                            metric_reg, config.distance, rng,
                                            config.triplet_count)
         opt.step({"proto": coords}, {"proto": grads})
+        if not np.all(np.isfinite(coords)):
+            raise TrainingDivergedError(f"non-finite prototypes at stage-1 step {step + 1} "
+                                        f"(lr={config.optimizer.lr})")
         if prev is not None and abs(prev - value) < rel_tol * max(1.0, abs(prev)):
             break
         prev = value
@@ -511,35 +495,31 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
 
     model = init_embedding_model(config.architecture, X_all.shape[1], config.m,
                                  config.hidden, config.activation, rng)
-
-    proto = None
-    head = None
-    leaf_rows = None
-    metric_reg = metric
-    class_map: tuple[int, ...]
-    target_table = None
+    params: dict[str, np.ndarray] = {"model": model.params}
+    proto = head = None
     if config.head == "prototypes":
+        metric_reg, class_map = metric, tax.leaf_ids
         if config.include_internal_prototypes:
-            metric_reg = cost_matrix(tax, "all-nodes")
-            class_map = tuple(range(tax.n_nodes))
-        else:
-            class_map = tax.leaf_ids
+            metric_reg, class_map = cost_matrix(tax, "all-nodes"), tuple(range(tax.n_nodes))
         proto = rng.standard_normal((len(class_map), config.m))
         leaf_rows = leaf_prototype_rows(tax, class_map)
-        if config.schedule == "fixed-proto" and config.lam > 0 and config.regularizer != "none":
-            proto = _fit_prototypes_alone(proto, metric_reg, config, rng)
-    else:
-        head = LinearHead(K, config.m)
-        if config.head == "soft-labels":
-            target_table = np.stack([soft_label_targets(metric, zk, config.beta)
-                                     for zk in range(K)])
-
-    params: dict[str, np.ndarray] = {"model": model.params}
-    if config.head == "prototypes":
         if config.schedule == "joint":
             params["proto"] = proto
+        elif config.lam > 0 and config.regularizer != "none":
+            proto = _fit_prototypes_alone(proto, metric_reg, config, rng)
+
+        def step(Xb, zb):
+            pi = PrototypeSet(proto, class_map, config.include_internal_prototypes)
+            return total_loss(Xb, zb, model, pi, metric_reg, config, rng, leaf_rows)
     else:
+        head = LinearHead(K, config.m)
         params["head"] = head.params
+        target_table = None if config.head == "cross-entropy" else np.stack(
+            [soft_label_targets(metric, zk, config.beta) for zk in range(K)])
+
+        def step(Xb, zb):
+            value, dmodel, dhead = _head_loss(Xb, zb, model, head, target_table)
+            return LossBreakdown(value, 0.0, value, None), {"model": dmodel, "head": dhead}
     opt = make_optimizer(config.optimizer)
 
     records = []
@@ -552,15 +532,7 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
         n_batches = 0
         for start in range(0, N, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            Xb, zb = X_all[idx], z_all[idx]
-            if config.head == "prototypes":
-                pi = PrototypeSet(proto, class_map, config.include_internal_prototypes)
-                breakdown, grads = total_loss(Xb, zb, model, pi, metric_reg,
-                                              config, rng, leaf_rows)
-            else:
-                value, dmodel, dhead = _head_loss(Xb, zb, model, head, target_table)
-                breakdown = LossBreakdown(value, 0.0, value, None)
-                grads = {"model": dmodel, "head": dhead}
+            breakdown, grads = step(X_all[idx], z_all[idx])
             if not np.isfinite(breakdown.total):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch} (lr={config.optimizer.lr})")
@@ -588,7 +560,7 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
                                    total=l_data + config.lam * l_reg,
                                    s_star=s_star, train_er=er, train_ac=ac))
 
-    if config.head == "prototypes":
+    if head is None:
         prototypes = PrototypeSet(proto, class_map, config.include_internal_prototypes)
     else:
         prototypes = class_mean_prototypes(model, dataset, tax)
@@ -635,10 +607,7 @@ class Checkpoint(Record):
     head: LinearHead | None = None
 
 
-def save_checkpoint(path, model: EmbeddingModel, prototypes: PrototypeSet,
-                    distance: DistanceSpec, tax: Taxonomy,
-                    head: LinearHead | None = None) -> None:
-    ckpt = Checkpoint(model, prototypes, distance, tax, head)
+def save_checkpoint(path, ckpt: Checkpoint) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_text({"format_version": CHECKPOINT_VERSION, **ckpt.to_dict()}))
 

@@ -270,6 +270,9 @@ def cost_matrix(tax: Taxonomy, nodes: str = "leaves-only") -> FiniteMetric:
     D = sel_depth[:, None] + sel_depth[None, :] - 2.0 * lca_depth
     np.fill_diagonal(D, 0.0)
     names = tuple(tax.nodes[i].name for i in selected)
+    if not np.isfinite(D).all():  # finite depths near the float limit overflow the sums above
+        a, b = np.argwhere(~np.isfinite(D))[0]
+        raise TaxonomyError(f"cost between '{names[a]}' and '{names[b]}' is not finite")
     return FiniteMetric(names, D)
 
 

@@ -473,7 +473,7 @@ class TestCmdInfer:
         stand_in = pm.PrototypeSet(rng.standard_normal((4, 3)), tax.leaf_ids)
         head = pm.LinearHead(4, 3, rng.standard_normal(16))
         path = tmp_path / "ckpt.json"
-        pm.save_checkpoint(path, model, stand_in, pm.DistanceSpec(), tax, head=head)
+        pm.save_checkpoint(path, pm.Checkpoint(model, stand_in, pm.DistanceSpec(), tax, head))
         payload = json.loads(path.read_text())
         mutate(payload)
         path.write_text(json.dumps(payload))
@@ -526,6 +526,19 @@ def test_threads_flag_pins_blas_pools(tmp_path, monkeypatch, toy_tax_file):
     assert main(["--threads", "1", "cost", toy_tax_file, "--out", out]) == 0
     assert os.environ["OMP_NUM_THREADS"] == "1"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+@pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads=-1"]])
+def test_threads_below_one_exit_2(tmp_path, monkeypatch, capsys, toy_tax_file, flags):
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS")
+    for var in blas:
+        monkeypatch.delenv(var, raising=False)
+    out = tmp_path / "c.csv"
+    assert main([*flags, "cost", toy_tax_file, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --threads must be >= 1, got {flags[-1].split('=')[-1]}"]
+    assert not out.exists() and not any(var in os.environ for var in blas)
 
 
 def test_importing_the_cli_loads_no_numpy():

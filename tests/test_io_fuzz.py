@@ -27,6 +27,9 @@ FEATURES = "id,f0,f1,f2\nr0,0.1,0.2,0.3\nr1,-1.0,0.5,2.0\n"
 SCALARS = [None, True, 3, 2.5, "text"]
 OTHER_VALUES = SCALARS + [[], {}, ["text", 1]]
 BAD_CELLS = ["nan", "inf", "-inf", "text", ""]
+# written as the bare literal, which JSON readers take as inf (json.dumps of
+# inf would write the rejected constant Infinity instead)
+OVERFLOW = "1e309"
 FUZZ = settings(max_examples=40, deadline=None)
 TAXONOMY_FUZZ = settings(max_examples=100, deadline=None)  # a cost run takes milliseconds
 
@@ -173,6 +176,11 @@ def test_infer_on_mutated_feature_csv(inputs, mutation):
     ("checkpoint", ("head",), 4),
     ("config", ("train", "hidden"), [0]),
     ("checkpoint", ("model", "hidden"), [-3]),
+    ("config", ("train", "lambda"), OVERFLOW),
+    ("config", ("train", "beta"), OVERFLOW),
+    ("config", ("train", "distance", "delta"), OVERFLOW),
+    ("checkpoint", ("head",), {"n_classes": 4, "input_dim": 3,
+                               "params": [OVERFLOW] + [0.0] * 15}),
 ])
 def test_malformed_records_exit_2(inputs, kind, path, value):
     doc = copy.deepcopy(inputs[kind])
@@ -181,7 +189,7 @@ def test_malformed_records_exit_2(inputs, kind, path, value):
         parent = parent[step]
     parent[path[-1]] = value
     case = inputs["root"] / f"bad_{kind}.json"
-    case.write_text(json.dumps(doc))
+    case.write_text(json.dumps(doc).replace(f'"{OVERFLOW}"', OVERFLOW))
     features = inputs["root"] / "features.csv"
     features.write_text(FEATURES)
     argv = (["train", str(case), "--output-dir", str(inputs["root"] / "bad_run")]
@@ -272,6 +280,9 @@ def test_integer_too_large_for_a_float_exits_2(inputs):
     ("synth", ["--noise", "nan"], "noise must be non-negative and finite, got nan"),
     ("synth", ["--root-spread", "0"], "root_spread must be positive and finite, got 0.0"),
     ("synth", ["--root-spread", "inf"], "root_spread must be positive and finite, got inf"),
+    ("train", ["--lambda", "nan"], "lambda must be nonnegative and finite, got nan"),
+    ("train", ["--lambda", "inf"], "lambda must be nonnegative and finite, got inf"),
+    ("embed", ["--delta", "inf"], "distance delta must be finite, got inf"),
 ])
 def test_bad_numbers_name_their_input(inputs, command, flags, message):
     root = inputs["root"]
@@ -429,8 +440,10 @@ def test_cost_on_mutated_json_tree(tax_dir, mutations, weight, target):
     ("json-tree", json_tree_text(["weight"], True, "a1"), "node 'a1': weight must be a number"),
     ("json-tree", json_tree_text(["unknown-key"], None, "a1"), "node 'a1': unknown key 'weigth'"),
     ("edge-list", edge_list_text(["chain-weight"], "1e308"), "root to 'a1' is not finite"),
+    ("json-tree", json_tree_text(["weight"], 1e308, "A"), "cost between 'a1' and 'a2' is not finite"),
 ], ids=["null-weight", "list-weight", "1e999-weight", "integer-1e400-weight", "padded-name",
-        "string-weight", "boolean-weight", "misspelt-key", "overflowing-path"])
+        "string-weight", "boolean-weight", "misspelt-key", "overflowing-path",
+        "overflowing-cost"])
 def test_taxonomy_defects_exit_2(tmp_path, fmt, text, message):
     tax = tmp_path / "taxonomy"
     tax.write_text(text)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import protometric as pm
 from protometric import DistanceSpec, PrototypeSet, TrainConfig, TrainingDivergedError
-from protometric.model import _head_loss, head_logits, leaf_posterior, softmax
+from protometric.model import _forward_cache, _head_loss, head_logits, leaf_posterior, softmax
 
 from conftest import random_prototype_instance
 
@@ -14,6 +16,28 @@ EUC = DistanceSpec("euclidean")
 
 def tiny_mlp(rng, din=5, m=3, hidden=(8,)):
     return pm.init_embedding_model("mlp", din, m, hidden, "tanh", rng)
+
+
+# every network path as (architecture, hidden, activation)
+NETWORKS = [("identity", (), "relu"), ("linear", (), "relu"),
+            ("mlp", (8,), "relu"), ("mlp", (8,), "tanh")]
+
+
+def network_instance(rng, kind, hidden, activation, m=3, n=6):
+    """A fresh model of one network path and a batch of n inputs of width 5
+    (m for identity). ReLU pre-activations are asserted clear of the kink,
+    where central differences do not match the gradient."""
+    din = m if kind == "identity" else 5
+    model = pm.init_embedding_model(kind, din, m, hidden, activation, rng)
+    X = rng.standard_normal((n, din))
+    if activation == "relu":
+        _, cache = _forward_cache(model, X)
+        assert all(np.abs(Z).min() > 1e-3 for _, Z in cache[:-1])
+    return model, X
+
+
+def with_params(model, flat):
+    return dataclasses.replace(model, params=flat[:model.params.size])
 
 
 class TestForward:
@@ -149,21 +173,20 @@ class TestDataLoss:
         assert value == pytest.approx(expected, abs=1e-10)
 
     def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(4)
-        pi, _ = random_prototype_instance(4, 3, rng)
-        model = tiny_mlp(rng, din=5, m=3)
-        X = rng.standard_normal((6, 5))
-        z = rng.integers(0, 4, 6)
-        n_model = model.params.size
+        for network in NETWORKS:
+            rng = np.random.default_rng(4)
+            pi, _ = random_prototype_instance(4, 3, rng)
+            model, X = network_instance(rng, *network)
+            z = rng.integers(0, 4, 6)
+            n_model = model.params.size
 
-        def evaluate(flat):
-            mdl = pm.EmbeddingModel("mlp", 5, 3, (8,), "tanh", flat[:n_model])
-            p = pi.with_coords(flat[n_model:].reshape(4, 3))
-            value, dm, dc = pm.data_loss(X, z, mdl, p, EUC)
-            return value, np.concatenate([dm, dc.ravel()])
+            def evaluate(flat):
+                p = pi.with_coords(flat[n_model:].reshape(4, 3))
+                value, dm, dc = pm.data_loss(X, z, with_params(model, flat), p, EUC)
+                return value, np.concatenate([dm, dc.ravel()])
 
-        flat = np.concatenate([model.params, pi.coords.ravel()])
-        assert pm.finite_difference_check(evaluate, flat) < 1e-4
+            flat = np.concatenate([model.params, pi.coords.ravel()])
+            assert pm.finite_difference_check(evaluate, flat) < 1e-4, network
 
     def test_empty_batch(self):
         rng = np.random.default_rng(5)
@@ -188,11 +211,10 @@ class TestDataLoss:
 
 
 class TestTotalLoss:
-    def _instance(self, seed, lam, regularizer="disto"):
+    def _instance(self, seed, lam, regularizer="disto", network=("mlp", (8,), "tanh")):
         rng = np.random.default_rng(seed)
         pi, metric = random_prototype_instance(4, 3, rng)
-        model = tiny_mlp(rng, din=5, m=3)
-        X = rng.standard_normal((6, 5))
+        model, X = network_instance(rng, *network)
         z = rng.integers(0, 4, 6)
         config = TrainConfig(lam=lam, regularizer=regularizer, m=3,
                              architecture="mlp", hidden=(8,), activation="tanh",
@@ -230,18 +252,19 @@ class TestTotalLoss:
             breakdown.l_data + 2.0 * breakdown.l_reg, abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
-        rng, pi, metric, model, X, z, config = self._instance(10, 2.0)
-        n_model = model.params.size
+        for network in NETWORKS:
+            rng, pi, metric, model, X, z, config = self._instance(10, 2.0, network=network)
+            n_model = model.params.size
 
-        def evaluate(flat):
-            mdl = pm.EmbeddingModel("mlp", 5, 3, (8,), "tanh", flat[:n_model])
-            p = pi.with_coords(flat[n_model:].reshape(4, 3))
-            breakdown, grads = pm.total_loss(X, z, mdl, p, metric, config)
-            return breakdown.total, np.concatenate([grads["model"],
-                                                    grads["proto"].ravel()])
+            def evaluate(flat):
+                p = pi.with_coords(flat[n_model:].reshape(4, 3))
+                breakdown, grads = pm.total_loss(X, z, with_params(model, flat), p,
+                                                 metric, config)
+                return breakdown.total, np.concatenate([grads["model"],
+                                                        grads["proto"].ravel()])
 
-        flat = np.concatenate([model.params, pi.coords.ravel()])
-        assert pm.finite_difference_check(evaluate, flat) < 1e-4
+            flat = np.concatenate([model.params, pi.coords.ravel()])
+            assert pm.finite_difference_check(evaluate, flat) < 1e-4, network
 
     def test_descent_direction(self):
         # a small enough gradient step never increases the loss
@@ -317,22 +340,21 @@ class TestHeads:
         assert value == pytest.approx(np.log(K), rel=1e-12)
 
     def test_head_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(14)
-        K, m, din = 4, 3, 5
-        model = tiny_mlp(rng, din=din, m=m)
-        head = pm.LinearHead(K, m, rng.standard_normal(K * m + K) * 0.1)
-        X = rng.standard_normal((6, din))
-        z = rng.integers(0, K, 6)
-        n_model = model.params.size
+        K, m = 4, 3
+        for network in NETWORKS:
+            rng = np.random.default_rng(14)
+            model, X = network_instance(rng, *network, m=m)
+            head = pm.LinearHead(K, m, rng.standard_normal(K * m + K) * 0.1)
+            z = rng.integers(0, K, 6)
+            n_model = model.params.size
 
-        def evaluate(flat):
-            mdl = pm.EmbeddingModel("mlp", din, m, (8,), "tanh", flat[:n_model])
-            hd = pm.LinearHead(K, m, flat[n_model:])
-            value, dm, dh = _head_loss(X, z, mdl, hd)
-            return value, np.concatenate([dm, dh])
+            def evaluate(flat):
+                hd = pm.LinearHead(K, m, flat[n_model:])
+                value, dm, dh = _head_loss(X, z, with_params(model, flat), hd)
+                return value, np.concatenate([dm, dh])
 
-        flat = np.concatenate([model.params, head.params])
-        assert pm.finite_difference_check(evaluate, flat) < 1e-4
+            flat = np.concatenate([model.params, head.params])
+            assert pm.finite_difference_check(evaluate, flat) < 1e-4, network
 
     def test_soft_target_head_uses_table(self):
         rng = np.random.default_rng(15)
@@ -405,16 +427,22 @@ class TestTrain:
             assert rec.total == pytest.approx(rec.l_data + 2.5 * rec.l_reg, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_aborts_with_diagnostic(self):
-        rng = np.random.default_rng(4)
-        tax, metric, ds = blob_dataset(rng)
-        # squared distances compound the blow-up until values overflow
-        config = TrainConfig(m=2, architecture="mlp", hidden=(8,), epochs=20,
-                             batch_size=16,
-                             distance=DistanceSpec("squared-euclidean"),
-                             optimizer=pm.OptimizerSpec("sgd", lr=1e20))
-        with pytest.raises(TrainingDivergedError, match="epoch"):
-            pm.train(ds, tax, metric, config, np.random.default_rng(0))
+    def test_divergence_aborts_with_diagnostic(self, toy_tax):
+        ds = pm.gen_hierarchical_gaussians(toy_tax, per_class=10, dims=2,
+                                           rng=np.random.default_rng(4))
+        metric = pm.cost_matrix(toy_tax)
+        # squared distances overflow after one step of lr 1e300; the
+        # fixed-proto schedule diverges in stage 1, the prototype-only fit
+        for schedule, where in (("joint", "loss at epoch 1"),
+                                ("fixed-proto", "prototypes at stage-1 step 2")):
+            for kind in ("adam", "sgd"):
+                config = TrainConfig(m=2, architecture="mlp", hidden=(8,), epochs=20,
+                                     batch_size=16, schedule=schedule,
+                                     distance=DistanceSpec("squared-euclidean"),
+                                     optimizer=pm.OptimizerSpec(kind, lr=1e300))
+                with pytest.raises(TrainingDivergedError,
+                                   match=rf"non-finite {where} \(lr=1e\+300\)"):
+                    pm.train(ds, toy_tax, metric, config, np.random.default_rng(0))
 
     def test_fixed_proto_schedule_freezes_prototypes(self):
         rng = np.random.default_rng(5)
@@ -471,7 +499,7 @@ class TestCheckpoint:
         pi = PrototypeSet(rng.standard_normal((3, 3)), toy_tax.leaf_ids)
         spec = DistanceSpec("huber", delta=0.25)
         path = tmp_path / "ckpt.json"
-        pm.save_checkpoint(path, model, pi, spec, toy_tax)
+        pm.save_checkpoint(path, pm.Checkpoint(model, pi, spec, toy_tax))
         ckpt = pm.load_checkpoint(path)
         np.testing.assert_array_equal(ckpt.model.params, model.params)
         np.testing.assert_array_equal(ckpt.prototypes.coords, pi.coords)
@@ -486,7 +514,7 @@ class TestCheckpoint:
         pi = PrototypeSet(rng.standard_normal((3, 3)), toy_tax.leaf_ids)
         head = pm.LinearHead(3, 3, rng.standard_normal(12))
         path = tmp_path / "ckpt.json"
-        pm.save_checkpoint(path, model, pi, DistanceSpec(), toy_tax, head=head)
+        pm.save_checkpoint(path, pm.Checkpoint(model, pi, DistanceSpec(), toy_tax, head))
         ckpt = pm.load_checkpoint(path)
         assert ckpt.head is not None
         np.testing.assert_array_equal(ckpt.head.params, head.params)
