@@ -363,8 +363,15 @@ def cmd_synth(args) -> int:
 # Parser / entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors, so that `main` prints them as one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="protometric",
         description="Metric-guided prototype learning toolkit")
     parser.add_argument("--threads", type=int, default=None,
@@ -441,42 +448,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pin_threads(argv: list[str]) -> None:
-    """Set BLAS thread env vars before numpy is imported anywhere.
-
-    A count below 1 raises ValueError and sets none: OpenBLAS would take it
-    as "all cores", and subprocesses would inherit it. A value that is not
-    an integer is left for the parser to report.
-    """
-    threads = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
-    try:
-        threads = int(threads)
-    except (TypeError, ValueError):
-        return
-    if threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(threads)
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        _pin_threads(argv)
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        if args.threads is not None:
+            # below 1 sets nothing: OpenBLAS would take it as "all cores"
+            if args.threads < 1:
+                raise ValueError(f"--threads must be >= 1, got {args.threads}")
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS"):
+                os.environ[var] = str(args.threads)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    import numpy as np  # only now: _pin_threads has set the BLAS pools
+    import numpy as np  # only now: --threads has set the BLAS pools
 
     try:
         # a numpy overflow or invalid-value warning would be a second stderr

@@ -120,10 +120,12 @@ def split(dataset: Dataset, test_fraction: float,
 
     Classes with a single sample cannot be stratified; they go to the train
     side with a warning. For classes with >= 2 samples both sides get at
-    least one sample.
+    least one sample; without such a class the split raises DataError.
     """
     if not 0 < test_fraction < 1:
         raise DataError("test_fraction must lie strictly between 0 and 1")
+    if not np.any(np.bincount(dataset.labels) >= 2):
+        raise DataError("no class has 2 or more samples, so the test split would be empty")
     test_idx = []
     train_idx = []
     for k in range(len(dataset.class_names)):

@@ -190,6 +190,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return p
 
 
+def _softmax_xent(logits: np.ndarray, T: np.ndarray):
+    """Mean cross-entropy of (n, k) logits against target rows T, and its
+    gradient (softmax - T) / n: the loss of every head."""
+    n = logits.shape[0]
+    logp = logits - _log_sum_exp(logits)[0]
+    return float(-np.sum(T * logp) / n), (np.exp(logp) - T) / n
+
+
 def posterior(e, proto_coords: np.ndarray, spec: DistanceSpec) -> np.ndarray:
     """Softmin of distances to the leaf prototypes, max-shifted for stability.
 
@@ -215,22 +223,14 @@ def data_loss(X, z, model: EmbeddingModel, pi: PrototypeSet, spec: DistanceSpec,
     z = np.asarray(z, dtype=np.intp)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("empty batch")
-    n = X.shape[0]
     P_full = pi.coords
     rows = np.arange(pi.size) if leaf_rows is None else np.asarray(leaf_rows, dtype=np.intp)
     P = P_full[rows]
 
     E, cache = _forward_cache(model, X)
     sq = pairwise_sqnorms(E, P)
-    d = dist_from_sqnorm(spec, sq)
-    lse, p, total = _log_sum_exp(-d)
-    value = float(np.mean(d[np.arange(n), z] + lse[:, 0]))
-
-    p /= total
-    dL_dd = -p / n
-    dL_dd[np.arange(n), z] += 1.0 / n
-
-    C = dL_dd * grad_weight_from_sqnorm(spec, sq)
+    value, dlogits = _softmax_xent(-dist_from_sqnorm(spec, sq), np.eye(P.shape[0])[z])
+    C = -dlogits * grad_weight_from_sqnorm(spec, sq)
     dE = pair_contract(C, E, P)
     dP = pair_contract(C.T, P, E)
     dcoords = np.zeros_like(P_full)
@@ -355,19 +355,9 @@ def _head_loss(X, z, model: EmbeddingModel, head: LinearHead,
     """Cross-entropy of the linear head; soft targets when a table is given."""
     X = np.asarray(X, dtype=np.float64)
     z = np.asarray(z, dtype=np.intp)
-    n = X.shape[0]
     E, cache = _forward_cache(model, X)
-    logits = head_logits(head, E)
-    logp = logits - _log_sum_exp(logits)[0]
-    if target_table is None:
-        T = np.zeros_like(logits)
-        T[np.arange(n), z] = 1.0
-    else:
-        T = target_table[z]
-    value = float(-np.sum(T * logp) / n)
-
-    p = np.exp(logp)
-    dlogits = (p - T) / n
+    T = np.eye(head.n_classes)[z] if target_table is None else target_table[z]
+    value, dlogits = _softmax_xent(head_logits(head, E), T)
     W = head.params[:head.n_classes * head.input_dim].reshape(head.n_classes, head.input_dim)
     dW = dlogits.T @ E
     db = dlogits.sum(axis=0)

@@ -514,9 +514,18 @@ class TestRunConfig:
                       output_dir="o", scheme="bogus")
 
 
-def test_usage_error_exits_2():
-    assert main(["frobnicate"]) == 2
-    assert main([]) == 2
+def test_usage_error_exits_2(tmp_path, capsys, toy_tax_file):
+    # argparse's own errors too: one error line, no usage block
+    out = str(tmp_path / "c.csv")
+    for argv in (["--threads", "abc", "cost", toy_tax_file, "--out", out],
+                 ["embed", toy_tax_file, "--dim", "two", "--out", out],
+                 ["frobnicate"], ["cost", toy_tax_file], []):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+    assert not os.path.exists(out)
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: protometric")
 
 
 def test_threads_flag_pins_blas_pools(tmp_path, monkeypatch, toy_tax_file):

@@ -262,6 +262,19 @@ def fails(argv, message: str) -> None:
     assert lines[0].startswith("error: ") and message in lines[0], lines
 
 
+def test_no_class_with_two_samples_exits_2(inputs):
+    # the stratified split would leave the test side empty
+    root = inputs["root"]
+    (root / "two_leaf.tsv").write_text("a\troot\nb\troot\n")
+    (root / "one_per_class.csv").write_text("f0,f1,label\n0.1,0.2,a\n0.3,-0.4,b\n")
+    config = dict(inputs["config"], taxonomy_path=str(root / "two_leaf.tsv"),
+                  dataset_path=str(root / "one_per_class.csv"))
+    case = root / "one_per_class.json"
+    case.write_text(json.dumps(config))
+    fails(["train", str(case), "--output-dir", str(root / "one_per_class_run")],
+          "no class has 2 or more samples")
+
+
 def test_integer_too_large_for_a_float_exits_2(inputs):
     config = json.dumps(inputs["config"]).replace('"lambda": 1.0', f'"lambda": {10**400}')
     case = inputs["root"] / "huge_config.json"

@@ -368,6 +368,24 @@ class TestHeads:
         # zero logits: cross-entropy against any target sums to log K
         assert value == pytest.approx(np.log(3), rel=1e-12)
 
+    def test_prototype_head_shares_the_linear_heads_loss(self):
+        # squared Euclidean: -|e - p|^2 = 2p.e - |p|^2 - |e|^2, whose row shift
+        # -|e|^2 cancels in the softmax and in dE (the rows of p - T sum to 0),
+        # so prototypes P give the loss of the linear head W = 2P, b = -|P|^2
+        K, m = 5, 3
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            model = tiny_mlp(rng, din=4, m=m)
+            P = rng.standard_normal((K, m))
+            X = rng.standard_normal((8, 4))
+            z = rng.integers(0, K, 8)
+            value, dmodel, _ = pm.data_loss(X, z, model, PrototypeSet(P, tuple(range(K))),
+                                            DistanceSpec("squared-euclidean"))
+            head = pm.LinearHead(K, m, np.concatenate([2 * P.ravel(), -np.sum(P ** 2, axis=1)]))
+            head_value, head_dmodel, _ = _head_loss(X, z, model, head)
+            assert head_value == pytest.approx(value, rel=1e-12), seed
+            np.testing.assert_allclose(head_dmodel, dmodel, rtol=1e-12, err_msg=str(seed))
+
 
 def blob_dataset(rng, n_per=30, gap=4.0):
     tax = pm.parse_taxonomy("a\troot\nb\troot\n")
