@@ -4,7 +4,8 @@
 Trains metric-guided prototypes against the unregularized and baseline
 heads on synthetic Gaussian blobs whose means follow a 3-level binary
 taxonomy, then prints median test error rate (ER), average cost (AC) and
-scale-free prototype distortion (SFD) over the requested seeds.
+scale-free prototype distortion (SFD) over the requested seeds, scored as
+`protometric train` scores its test split (`pm.evaluate_checkpoint`).
 
     python3 scripts/run_synthetic_benchmark.py --seeds 5 --epochs 100
 """
@@ -45,10 +46,7 @@ def run_arm(tax, metric, head, lam, regularizer, seed, args):
 
     ckpt = pm.Checkpoint(model=result.model, prototypes=result.prototypes,
                          distance=config.distance, taxonomy=tax, head=result.head)
-    preds, _, _, _ = pm.predict(ckpt, test_set.features, "max-prob")
-    report = pm.evaluate(preds, test_set.labels, metric)
-    sfd = pm.scale_free_distortion(result.prototypes, metric, config.distance)
-    return report.er, report.ac, sfd
+    return pm.evaluate_checkpoint(ckpt, test_set, "max-prob").to_dict()
 
 
 def main():
@@ -73,7 +71,8 @@ def main():
         t0 = time.perf_counter()
         runs = [run_arm(tax, metric, head, lam, regularizer, seed, args)
                 for seed in range(args.seeds)]
-        er, ac, sfd = (float(np.median([r[i] for r in runs])) for i in range(3))
+        agg = pm.aggregate_reports(runs, "median")
+        er, ac, sfd = (agg[key] for key in ("er", "ac", "scale_free_distortion"))
         print(f"{name:14s} {er:7.3f} {ac:7.3f} {sfd:7.3f}"
               f"   ({time.perf_counter() - t0:.0f}s)")
 

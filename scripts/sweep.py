@@ -8,9 +8,9 @@
 `cost` (leaves, all nodes, json-tree), `synth`, `train` for each head,
 regularizer, distance kind, schedule, optimizer, architecture and scheme
 (two seeds each), `eval` with every scheme on full and on class-missing
-data, `infer` with every scheme on every checkpoint and on a feature file of
-more than 4096 rows, and `embed` for each regularizer and distance kind. The
-commands run in one process under `--threads 1`, from OUT so that the
+data, `infer` with every scheme on every checkpoint, `eval` and `infer` on
+files of more than 4096 rows, and `embed` for each regularizer and distance
+kind. The commands run in one process under `--threads 1`, from OUT so that the
 echoed paths are relative. `--src` picks the source tree to run (default:
 the one next to this script), so a checkout of another commit, for example
 one unpacked with `git archive REV | tar -x -C DIR`, runs the same matrix.
@@ -169,8 +169,9 @@ def run_matrix(out: str, src: str, tiny: bool) -> None:
     _derive_csv("data/train.csv", "data/features.csv", features=True)
     _derive_csv("data/train.csv", "data/missing.csv", drop="b2y")
     if not tiny:
-        # 4097 rows: a 4096-row block would leave one row, which BLAS rounds
-        # through another kernel
+        # 4104 labelled and 4097 feature rows: more than one forward block
+        # each, where a 4096-row block would leave a short tail that BLAS
+        # rounds through another kernel
         call("synth", "tax.tsv", "--per-class", "513", "--dims", "6", "--seed", "4",
              "--out", "data/big.csv")
         _derive_csv("data/big.csv", "data/big_features.csv", slice(4097), features=True)
@@ -192,6 +193,8 @@ def run_matrix(out: str, src: str, tiny: bool) -> None:
             call("infer", ckpt, "data/features.csv", "--scheme", scheme,
                  "--out", f"infer/{arm}/{scheme}.csv")
             if not tiny and arm in BIG_INFER_ARMS:
+                call("eval", ckpt, "data/big.csv", "tax.tsv", "--scheme", scheme,
+                     "--out", f"eval/{arm}/big-{scheme}")
                 call("infer", ckpt, "data/big_features.csv", "--scheme", scheme,
                      "--out", f"infer/{arm}/big-{scheme}.csv")
 

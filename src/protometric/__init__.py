@@ -21,7 +21,7 @@ _EXPORTS = {
     "distortion": "DegeneratePrototypesError DistortionReport PrototypeSet TripletBatch "
                   "disto_loss distortion distortion_report l2_scale optimal_scale_l1 "
                   "rank_loss sample_triplets scale_free_distortion",
-    "evaluation": "EvalReport evaluate",
+    "evaluation": "EvalReport aggregate_reports evaluate evaluate_checkpoint",
     "geometry": "DistanceSpec",
     "inference": "Prediction PrototypeIndex build_index predict predict_any_node "
                  "predict_max_prob predict_min_expected_cost",

@@ -52,6 +52,9 @@ class RunConfig(Record):
             raise ValueError(f"unknown aggregation '{self.aggregate}'")
         if not self.seeds:
             raise ValueError("seed list must not be empty")
+        if not 0 < self.test_fraction < 1:
+            raise ValueError("test_fraction must lie strictly between 0 and 1, "
+                             f"got {self.test_fraction}")
         seeds = tuple(int(s) for s in self.seeds)
         for seed in seeds:
             _check_seed("seeds", seed)
@@ -192,6 +195,7 @@ def cmd_train(args) -> int:
     import numpy as np
 
     from .data import load_csv, split
+    from .evaluation import aggregate_reports, evaluate_checkpoint
     from .model import Checkpoint, save_checkpoint, train
     from .taxonomy import cost_matrix
 
@@ -200,13 +204,14 @@ def cmd_train(args) -> int:
     metric = cost_matrix(tax, "leaves-only")
     dataset = load_csv(cfg.dataset_path, cfg.label_column, tax)
     out = cfg.output_dir
-    _write_json(os.path.join(out, "config.json"), cfg.to_dict())
 
     per_seed = []
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)
         train_set, test_set = split(dataset, cfg.test_fraction, rng)
-        result = train(train_set, tax, metric, replace(cfg.train, seed=seed), rng)
+        if not per_seed:  # the inputs have passed: the run directory may start
+            _write_json(os.path.join(out, "config.json"), cfg.to_dict())
+        result = train(train_set, tax, metric, cfg.train, rng)
 
         tag = f"seed{seed}"
         ckpt = Checkpoint(model=result.model, prototypes=result.prototypes,
@@ -217,7 +222,7 @@ def cmd_train(args) -> int:
         _write_text(os.path.join(out, f"prototypes_{tag}.csv"),
                     _prototypes_csv(result.prototypes, tax))
 
-        report = _evaluate_checkpoint(ckpt, tax, test_set, cfg.scheme)
+        report = evaluate_checkpoint(ckpt, test_set, cfg.scheme)
         _write_json(os.path.join(out, f"eval_{tag}.json"), report.to_dict())
         _write_text(os.path.join(out, f"confusion_{tag}.csv"),
                     report.confusion_to_csv())
@@ -225,7 +230,7 @@ def cmd_train(args) -> int:
                     _embeddings_csv(ckpt, test_set))
         per_seed.append(report.to_dict())
 
-    agg = _aggregate_reports(per_seed, cfg.aggregate)
+    agg = aggregate_reports(per_seed, cfg.aggregate)
     _write_json(os.path.join(out, "aggregate_eval.json"),
                 {"aggregate": cfg.aggregate, "seeds": list(cfg.seeds),
                  "metrics": agg, "per_seed": per_seed})
@@ -243,47 +248,9 @@ def _embeddings_csv(ckpt, dataset) -> str:
                      in enumerate(zip(dataset.labels.tolist(), E.tolist()))))
 
 
-def _evaluate_checkpoint(ckpt, tax, dataset, scheme: str):
-    import dataclasses
-
-    import numpy as np
-
-    from .distortion import distortion_report
-    from .evaluation import evaluate
-    from .inference import predict
-    from .model import class_mean_prototypes, leaf_prototype_rows
-    from .taxonomy import cost_matrix
-
-    preds, metric, _, _ = predict(dataclasses.replace(ckpt, taxonomy=tax),
-                                  dataset.features, scheme)
-    labels, leaf_mask = dataset.labels, None
-    if scheme == "any-node":
-        labels = np.array(tax.leaf_ids, dtype=np.intp)[labels]
-        leaf_mask = np.array([tax.is_leaf(i) for i in range(tax.n_nodes)])
-    report = evaluate(preds, labels, metric, leaf_mask)
-    if ckpt.head is None:
-        leaf_pi = ckpt.prototypes.subset(leaf_prototype_rows(tax, ckpt.prototypes.class_map))
-    elif np.unique(dataset.labels).size < len(tax.leaf_ids):
-        leaf_pi = ckpt.prototypes  # a class is absent: keep the training means
-    else:
-        leaf_pi = class_mean_prototypes(ckpt.model, dataset, tax)
-    disto = distortion_report(leaf_pi, cost_matrix(tax, "leaves-only"), ckpt.distance)
-    return dataclasses.replace(report, distortion=disto)
-
-
-def _aggregate_reports(per_seed: list[dict], how: str) -> dict:
-    import numpy as np
-
-    average = np.median if how == "median" else np.mean
-    values = {key: [r[key] for r in per_seed if r[key] is not None]
-              for key in ("er", "ac", "l_er", "r_er")}
-    values["scale_free_distortion"] = [r["distortion"]["scale_free_distortion"]
-                                       for r in per_seed if r["distortion"]]
-    return {key: float(average(v)) if v else None for key, v in values.items()}
-
-
 def cmd_eval(args) -> int:
     from .data import load_csv
+    from .evaluation import evaluate_checkpoint
     from .model import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
@@ -296,8 +263,9 @@ def cmd_eval(args) -> int:
         i = next(i for i, (a, b) in enumerate(zip(here, there)) if a != b)
         raise ValueError(f"taxonomy node id {i} is {here[i]!r} but {there[i]!r} "
                          "in the checkpoint")
+    ckpt = replace(ckpt, taxonomy=tax)
     dataset = load_csv(args.dataset, args.label_column, tax)
-    report = _evaluate_checkpoint(ckpt, tax, dataset, args.scheme)
+    report = evaluate_checkpoint(ckpt, dataset, args.scheme)
     out = args.out
     _write_json(os.path.join(out, "eval.json"), report.to_dict())
     _write_text(os.path.join(out, "confusion.csv"), report.confusion_to_csv())
@@ -470,7 +438,7 @@ def main(argv=None) -> int:
         # line; the explicit finite checks report the failure itself
         with np.errstate(all="ignore"):
             return args.func(args)
-    except ArithmeticError as exc:
+    except (ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:

@@ -1,12 +1,16 @@
-"""Error rate, average cost and the confusion table of a set of predictions."""
+"""Error rate, average cost and the confusion table of predictions or of a checkpoint."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distortion import DistortionReport
+# predict, the stand-ins and cost_matrix are read through their home modules
+# at call time, so that instrumentation rebinding them there sees every call.
+from . import inference, model, taxonomy
+from .data import Dataset
+from .distortion import DistortionReport, distortion_report
 from .formats import csv_text
 from .taxonomy import FiniteMetric
 
@@ -74,3 +78,36 @@ def evaluate(predictions, labels, metric: FiniteMetric, leaf_mask=None) -> EvalR
 
     return EvalReport(er=er, ac=ac, l_er=l_er, r_er=r_er, n=n,
                       class_names=metric.class_names, confusion=confusion)
+
+
+def evaluate_checkpoint(ckpt: model.Checkpoint, dataset: Dataset, scheme: str) -> EvalReport:
+    """Score a checkpoint's `scheme` predictions on a labelled dataset (any-node
+    maps the leaf labels to node ids) and attach the leaves-only distortion
+    report of its leaf prototypes: for a head without prototypes, the class
+    means of the embedded dataset, or the training means if a class is absent."""
+    tax = ckpt.taxonomy
+    preds, metric, _, _ = inference.predict(ckpt, dataset.features, scheme)
+    labels, leaf_mask, leaf_metric = dataset.labels, None, metric
+    if scheme == "any-node":
+        labels = np.array(tax.leaf_ids, dtype=np.intp)[labels]
+        leaf_mask = np.array([tax.is_leaf(i) for i in range(tax.n_nodes)])
+        leaf_metric = taxonomy.cost_matrix(tax, "leaves-only")
+    report = evaluate(preds, labels, metric, leaf_mask)
+    if ckpt.head is None:
+        pi = ckpt.prototypes
+        leaf_pi = pi.subset(model.leaf_prototype_rows(tax, pi.class_map))
+    elif np.unique(dataset.labels).size < len(tax.leaf_ids):
+        leaf_pi = ckpt.prototypes  # a class is absent: keep the training means
+    else:
+        leaf_pi = model.class_mean_prototypes(ckpt.model, dataset, tax)
+    return replace(report, distortion=distortion_report(leaf_pi, leaf_metric, ckpt.distance))
+
+
+def aggregate_reports(per_seed: list[dict], how: str) -> dict:
+    """Median or mean over seeds of the `EvalReport.to_dict()` figures and SFD."""
+    average = np.median if how == "median" else np.mean
+    values = {key: [r[key] for r in per_seed if r[key] is not None]
+              for key in ("er", "ac", "l_er", "r_er")}
+    values["scale_free_distortion"] = [r["distortion"]["scale_free_distortion"]
+                                       for r in per_seed if r["distortion"]]
+    return {key: float(average(v)) if v else None for key, v in values.items()}

@@ -29,6 +29,7 @@ HEADS = ("prototypes", "cross-entropy", "soft-labels")
 SCHEDULES = ("joint", "fixed-proto")
 
 CHECKPOINT_VERSION = 1
+BLOCK_ROWS = 4096  # most feature rows `leaf_posterior` runs forward at once
 
 
 class TrainingDivergedError(FloatingPointError):
@@ -267,7 +268,6 @@ class TrainConfig(Record):
     optimizer: OptimizerSpec = OptimizerSpec()
     epochs: int = 50
     batch_size: int = 32
-    seed: int = 0
     triplet_count: int = 10
     architecture: str = "mlp"
     hidden: tuple[int, ...] = (32, 32)
@@ -420,25 +420,23 @@ def class_mean_prototypes(model: EmbeddingModel, dataset: Dataset,
 
 
 def leaf_posterior(model: EmbeddingModel, X, proto_leaf: np.ndarray | None,
-                   spec: DistanceSpec, head: LinearHead | None = None,
-                   block: int | None = None) -> np.ndarray:
+                   spec: DistanceSpec, head: LinearHead | None = None) -> np.ndarray:
     """(n, K) leaf posterior of feature rows: the softmax of the head logits
     with a head, else the softmin of the distances to the leaf prototypes
     `proto_leaf` (taxonomy leaf order).
 
-    `block` rows at a time bound the forward pass; None takes all rows at
-    once. The distances need no blocking: `pairwise_sqnorms` holds nothing
-    beyond its (n, K) result but O(n + K) norms, an (n, K) mask and a ~1 MiB
-    pair block, and its rows do not depend on the batch. BLAS in the forward
-    pass may round a short block differently from the same rows inside a
-    long one, so the bytes depend on `block`.
+    The forward pass takes the fewest near-equal blocks of at most
+    BLOCK_ROWS rows, which bounds its memory; no block is a short tail,
+    which BLAS could round through another kernel than the long blocks.
+    The distances need no blocking: `pairwise_sqnorms` holds nothing beyond
+    its (n, K) result but O(n + K) norms, an (n, K) mask and a ~1 MiB pair
+    block, and its rows do not depend on the batch.
     """
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    step = block or n or 1
+    n_blocks = max(1, -(-X.shape[0] // BLOCK_ROWS))  # one empty block when n == 0
     blocks = []
-    for start in range(0, n or 1, step):  # one empty block when n == 0
-        E = forward(model, X[start:start + step])
+    for Xb in np.array_split(X, n_blocks):
+        E = forward(model, Xb)
         blocks.append(softmax(head_logits(head, E)) if head is not None
                       else posterior(E, proto_leaf, spec))
     return np.concatenate(blocks)
@@ -542,7 +540,7 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
         l_reg = sum_reg / n_batches
         s_star = sum_sstar / n_sstar if n_sstar else None
         proto_leaf = proto[leaf_rows] if proto is not None else None
-        P = leaf_posterior(model, X_all, proto_leaf, config.distance, head, block=4096)
+        P = leaf_posterior(model, X_all, proto_leaf, config.distance, head)
         preds = np.argmax(P, axis=1)  # ties go to the lowest index
         er = float(np.mean(preds != z_all))
         ac = float(np.mean(metric.costs[preds, z_all]))

@@ -81,11 +81,15 @@ class TestEvaluate:
             report = pm.evaluate(preds, labels, toy_metric)
             assert (report.ac == 0.0) == (report.er == 0.0)
 
-    def test_distortion_report_attached(self, toy_tax, toy_metric):
-        # the CLI attaches the leaves-only report of the leaf prototypes once,
-        # whatever the scheme
-        from protometric.cli import _evaluate_checkpoint
+    def test_distortion_report_attached(self, toy_tax, toy_metric, monkeypatch):
+        # the leaves-only report of the leaf prototypes, whatever the scheme;
+        # only any-node builds a cost matrix beyond the one predict builds
+        from protometric import taxonomy
 
+        builds = []
+        cost_matrix = taxonomy.cost_matrix
+        monkeypatch.setattr(taxonomy, "cost_matrix",
+                            lambda *args: builds.append(args) or cost_matrix(*args))
         rng = np.random.default_rng(4)
         pi = PrototypeSet(rng.standard_normal((3, 2)), toy_tax.leaf_ids)
         model = pm.init_embedding_model("identity", 2, 2)
@@ -94,9 +98,11 @@ class TestEvaluate:
                              toy_tax.leaf_names)
         expected = pm.distortion_report(pi, toy_metric, EUC)
         assert expected.scale_free_distortion <= expected.distortion
-        for scheme in ("max-prob", "min-ec", "any-node"):
-            report = _evaluate_checkpoint(ckpt, toy_tax, dataset, scheme)
+        for scheme, n_builds in (("max-prob", 1), ("min-ec", 1), ("any-node", 2)):
+            builds.clear()
+            report = pm.evaluate_checkpoint(ckpt, dataset, scheme)
             assert report.distortion == expected
+            assert len(builds) == n_builds, scheme
 
 
 class TestAnyNodeVariants:

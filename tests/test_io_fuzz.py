@@ -181,6 +181,7 @@ def test_infer_on_mutated_feature_csv(inputs, mutation):
     ("config", ("train", "distance", "delta"), OVERFLOW),
     ("checkpoint", ("head",), {"n_classes": 4, "input_dim": 3,
                                "params": [OVERFLOW] + [0.0] * 15}),
+    ("config", ("train", "seed"), 0),
 ])
 def test_malformed_records_exit_2(inputs, kind, path, value):
     doc = copy.deepcopy(inputs[kind])
@@ -271,8 +272,42 @@ def test_no_class_with_two_samples_exits_2(inputs):
                   dataset_path=str(root / "one_per_class.csv"))
     case = root / "one_per_class.json"
     case.write_text(json.dumps(config))
-    fails(["train", str(case), "--output-dir", str(root / "one_per_class_run")],
-          "no class has 2 or more samples")
+    out = root / "one_per_class_run"
+    fails(["train", str(case), "--output-dir", str(out)], "no class has 2 or more samples")
+    assert not out.exists()  # train writes nothing before its inputs pass
+
+
+@pytest.mark.parametrize("fraction", [1.5, 1, 0, -0.25])
+def test_test_fraction_outside_0_1_exits_2(inputs, fraction):
+    root = inputs["root"]
+    case = root / "fraction_config.json"
+    case.write_text(json.dumps(dict(inputs["config"], test_fraction=fraction)))
+    out = root / "fraction_run"
+    fails(["train", str(case), "--output-dir", str(out)],
+          f"test_fraction must lie strictly between 0 and 1, got {fraction}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "embed", "synth"])
+def test_refused_allocation_exits_1(inputs, command):
+    # 10**15 elements and more: beyond the 128 TiB user address space, so
+    # the allocation is refused under any overcommit policy
+    root = inputs["root"]
+    out = root / f"huge_{command}"
+    if command == "train":
+        config = copy.deepcopy(inputs["config"])
+        config["train"]["m"] = 10**15
+        case = root / "huge_m_config.json"
+        case.write_text(json.dumps(config))
+        argv = ["train", str(case), "--output-dir", str(out)]
+    elif command == "embed":
+        argv = ["embed", inputs["tax"], "--dim", str(10**15), "--steps", "1",
+                "--out", str(out)]
+    else:
+        argv = ["synth", inputs["tax"], "--per-class", str(10**15), "--out", str(out)]
+    code, err = run_error(argv)
+    lines = err.splitlines()
+    assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), (code, lines)
 
 
 def test_integer_too_large_for_a_float_exits_2(inputs):
