@@ -55,16 +55,23 @@ class RunConfig(Record):
         if not 0 < self.test_fraction < 1:
             raise ValueError("test_fraction must lie strictly between 0 and 1, "
                              f"got {self.test_fraction}")
-        seeds = tuple(int(s) for s in self.seeds)
-        for seed in seeds:
-            _check_seed("seeds", seed)
-        object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "seeds", _check_seeds("seeds", self.seeds))
 
 
 def _check_seed(name: str, seed: int) -> None:
     """A random seed is a non-negative integer; `name` is its flag or key."""
     if seed < 0:
         raise ValueError(f"{name}: seed {seed} must be >= 0")
+
+
+def _check_seeds(name: str, seeds) -> tuple[int, ...]:
+    """A seed list holds distinct random seeds; `name` is its flag or key."""
+    seeds = tuple(int(s) for s in seeds)
+    for i, seed in enumerate(seeds):
+        _check_seed(name, seed)
+        if seed in seeds[:i]:
+            raise ValueError(f"{name}: seed {seed} is repeated")
+    return seeds
 
 
 def _write_text(path: str, text: str) -> None:
@@ -177,9 +184,7 @@ def _load_run_config(args) -> RunConfig:
         except ValueError:
             raise ValueError(f"--seeds: {args.seeds!r} is not a comma-separated "
                              "list of integers") from None
-        for seed in seeds:
-            _check_seed("--seeds", seed)
-        cfg = replace(cfg, seeds=seeds)
+        cfg = replace(cfg, seeds=_check_seeds("--seeds", seeds))
     out = args.output_dir or cfg.output_dir
     if not out:
         root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
@@ -209,16 +214,15 @@ def cmd_train(args) -> int:
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)
         train_set, test_set = split(dataset, cfg.test_fraction, rng)
-        if not per_seed:  # the inputs have passed: the run directory may start
-            _write_json(os.path.join(out, "config.json"), cfg.to_dict())
         result = train(train_set, tax, metric, cfg.train, rng)
+        if not per_seed:  # `train` has checked its inputs: the run directory may start
+            _write_json(os.path.join(out, "config.json"), cfg.to_dict())
 
         tag = f"seed{seed}"
         ckpt = Checkpoint(model=result.model, prototypes=result.prototypes,
                           distance=cfg.train.distance, taxonomy=tax, head=result.head)
         save_checkpoint(os.path.join(out, f"checkpoint_{tag}.json"), ckpt)
         _write_text(os.path.join(out, f"history_{tag}.csv"), result.history.to_csv())
-        _write_text(os.path.join(out, f"history_{tag}.json"), result.history.to_json())
         _write_text(os.path.join(out, f"prototypes_{tag}.csv"),
                     _prototypes_csv(result.prototypes, tax))
 
@@ -226,8 +230,6 @@ def cmd_train(args) -> int:
         _write_json(os.path.join(out, f"eval_{tag}.json"), report.to_dict())
         _write_text(os.path.join(out, f"confusion_{tag}.csv"),
                     report.confusion_to_csv())
-        _write_text(os.path.join(out, f"embeddings_test_{tag}.csv"),
-                    _embeddings_csv(ckpt, test_set))
         per_seed.append(report.to_dict())
 
     agg = aggregate_reports(per_seed, cfg.aggregate)
@@ -236,16 +238,6 @@ def cmd_train(args) -> int:
                  "metrics": agg, "per_seed": per_seed})
     print(f"trained {len(cfg.seeds)} seed(s) -> {out}")
     return 0
-
-
-def _embeddings_csv(ckpt, dataset) -> str:
-    from .model import forward
-
-    E = forward(ckpt.model, dataset.features)
-    names = dataset.class_names
-    return csv_text(["index", "label", *(f"e{j}" for j in range(E.shape[1]))],
-                    ([i, names[z], *row] for i, (z, row)
-                     in enumerate(zip(dataset.labels.tolist(), E.tolist()))))
 
 
 def cmd_eval(args) -> int:

@@ -6,9 +6,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# predict, the stand-ins and cost_matrix are read through their home modules
-# at call time, so that instrumentation rebinding them there sees every call.
-from . import inference, model, taxonomy
+# predict and the stand-ins are read through their home modules at call
+# time, so that instrumentation rebinding them there sees every call.
+from . import inference, model
 from .data import Dataset
 from .distortion import DistortionReport, distortion_report
 from .formats import csv_text
@@ -89,9 +89,11 @@ def evaluate_checkpoint(ckpt: model.Checkpoint, dataset: Dataset, scheme: str) -
     preds, metric, _, _ = inference.predict(ckpt, dataset.features, scheme)
     labels, leaf_mask, leaf_metric = dataset.labels, None, metric
     if scheme == "any-node":
-        labels = np.array(tax.leaf_ids, dtype=np.intp)[labels]
+        leaf_ids = np.array(tax.leaf_ids, dtype=np.intp)
+        labels = leaf_ids[labels]
         leaf_mask = np.array([tax.is_leaf(i) for i in range(tax.n_nodes)])
-        leaf_metric = taxonomy.cost_matrix(tax, "leaves-only")
+        # the leaf block of the all-nodes matrix is the leaves-only one, bit for bit
+        leaf_metric = FiniteMetric(tax.leaf_names, metric.costs[np.ix_(leaf_ids, leaf_ids)])
     report = evaluate(preds, labels, metric, leaf_mask)
     if ckpt.head is None:
         pi = ckpt.prototypes

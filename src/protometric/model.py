@@ -371,7 +371,7 @@ def _head_loss(X, z, model: EmbeddingModel, head: LinearHead,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EpochRecord(Record):
+class EpochRecord:
     epoch: int
     l_data: float
     l_reg: float
@@ -387,9 +387,6 @@ class TrainHistory:
 
     def to_csv(self) -> str:
         return csv_text([f.name for f in fields(EpochRecord)], map(astuple, self.records))
-
-    def to_json(self) -> str:
-        return json_text([r.to_dict() for r in self.records])
 
 
 @dataclass

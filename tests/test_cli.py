@@ -192,8 +192,13 @@ class TestCmdTrain:
         config = write_config(tmp_path, four_leaf_file, data, out_dir,
                               seeds=[0, 1])
         assert main(["train", config]) == 0
+        # each result once: no test-embedding dump, no JSON twin of the history
+        per_seed = (("checkpoint", "json"), ("history", "csv"), ("prototypes", "csv"),
+                    ("eval", "json"), ("confusion", "csv"))
+        assert sorted(os.listdir(out_dir)) == sorted(
+            ["config.json", "aggregate_eval.json",
+             *(f"{stem}_seed{seed}.{ext}" for seed in (0, 1) for stem, ext in per_seed)])
         for seed in (0, 1):
-            assert os.path.exists(os.path.join(out_dir, f"checkpoint_seed{seed}.json"))
             history = open(os.path.join(out_dir, f"history_seed{seed}.csv")).read()
             header = history.strip().split("\n")[0]
             assert header == "epoch,l_data,l_reg,total,s_star,train_er,train_ac"

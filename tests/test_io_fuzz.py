@@ -277,6 +277,37 @@ def test_no_class_with_two_samples_exits_2(inputs):
     assert not out.exists()  # train writes nothing before its inputs pass
 
 
+def test_rank_on_two_leaves_exits_2(inputs):
+    # the triplet check runs inside `train`, after the split
+    root = inputs["root"]
+    (root / "two_leaf.tsv").write_text("a\troot\nb\troot\n")
+    rows = "".join(f"{0.1 * i},{-0.2 * i},{label}\n" for i in range(4) for label in "ab")
+    (root / "two_leaf.csv").write_text("f0,f1,label\n" + rows)
+    config = dict(inputs["config"], taxonomy_path=str(root / "two_leaf.tsv"),
+                  dataset_path=str(root / "two_leaf.csv"),
+                  train=dict(inputs["config"]["train"], regularizer="rank"))
+    case = root / "rank_two_leaf.json"
+    case.write_text(json.dumps(config))
+    out = root / "rank_two_leaf_run"
+    fails(["train", str(case), "--output-dir", str(out)],
+          "triplet sampling needs at least 3 classes")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds, flags, message", [
+    ([0, 1, 0], [], "seeds: seed 0 is repeated"),
+    ([0], ["--seeds", "2,1,2"], "--seeds: seed 2 is repeated"),
+])
+def test_repeated_seed_exits_2(inputs, seeds, flags, message):
+    # a repeated seed would train twice and count twice in the aggregate
+    root = inputs["root"]
+    case = root / "repeated_seed_config.json"
+    case.write_text(json.dumps(dict(inputs["config"], seeds=seeds)))
+    out = root / "repeated_seed_run"
+    fails(["train", str(case), "--output-dir", str(out), *flags], message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fraction", [1.5, 1, 0, -0.25])
 def test_test_fraction_outside_0_1_exits_2(inputs, fraction):
     root = inputs["root"]

@@ -150,13 +150,15 @@ class TestCostMatrix:
         np.testing.assert_allclose(metric.costs, full, rtol=1e-12, atol=1e-12)
 
     def test_restriction_consistency(self):
+        # exact: any-node scoring takes the leaves-only matrix from this block
         rng = np.random.default_rng(3)
-        tax = random_taxonomy(40, rng)
-        all_nodes = pm.cost_matrix(tax, "all-nodes")
-        leaves = pm.cost_matrix(tax, "leaves-only")
-        rows = [all_nodes.class_names.index(n) for n in leaves.class_names]
-        np.testing.assert_array_equal(leaves.costs,
-                                      all_nodes.costs[np.ix_(rows, rows)])
+        for weighted in (False, True):
+            tax = random_taxonomy(40, rng, weighted=weighted)
+            all_nodes = pm.cost_matrix(tax, "all-nodes")
+            leaves = pm.cost_matrix(tax, "leaves-only")
+            rows = [all_nodes.class_names.index(n) for n in leaves.class_names]
+            np.testing.assert_array_equal(leaves.costs,
+                                          all_nodes.costs[np.ix_(rows, rows)])
 
     def test_path_additivity(self):
         rng = np.random.default_rng(5)
