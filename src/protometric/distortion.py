@@ -323,21 +323,87 @@ def distortion_report(pi: PrototypeSet, metric: FiniteMetric,
     )
 
 
-LM_MAX_UNKNOWNS = 2048  # K*m cap of lm_refine: H is (K*m)^2 float64, 32 MiB
 LM_MIN_DECREASE = 1e-5  # lm_refine stops once a step gains less than this share
+LM_CG_TOL = 0.1  # lm_refine's CG stops once |residual| <= LM_CG_TOL * |g|
 
 
-def _gauge_basis(coords: np.ndarray) -> np.ndarray:
-    """Orthonormal (K*m, r) basis of the rigid motions at `coords`: the m
-    translations and m(m-1)/2 plane rotations, which change no distance."""
+def _jtj_product(coords: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """J^T J V for lm_refine's Jacobian, with W[k, l] = 1 / (d_kl D_kl)^2
+    (0 on the diagonal and on coincident pairs): (J V)_kl is
+    (c_k - c_l).(v_k - v_l) / (d D), read off one K x K product, and J^T
+    sends the pair values back with the same weights."""
+    P = coords @ V.T  # P[k, l] = c_k . v_l
+    p = np.diag(P)
+    M = p[:, None] + p[None, :] - P - P.T
+    return pair_contract(W * M, coords, coords)
+
+
+def _jtj_blocks(coords: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The (K, m, m) diagonal blocks of J^T J: block k is
+    sum_l W[k, l] (c_k - c_l)(c_k - c_l)^T, its sum_l W c_l c_l^T term
+    from one GEMM."""
     K, m = coords.shape
-    planes = list(itertools.combinations(range(m), 2))
-    G = np.zeros((m + len(planes), K, m))
-    G[np.arange(m), :, np.arange(m)] = 1.0
-    for i, (a, b) in enumerate(planes, start=m):
-        G[i, :, a], G[i, :, b] = -coords[:, b], coords[:, a]
-    U, s, _ = np.linalg.svd(G.reshape(len(G), K * m).T, full_matrices=False)
-    return U[:, s > 1e-10 * s[0]]
+    WC = W @ coords
+    outer = coords[:, :, None] * coords[:, None, :]
+    blocks = (W @ outer.reshape(K, m * m)).reshape(K, m, m)
+    blocks += W.sum(axis=1)[:, None, None] * outer
+    blocks -= coords[:, :, None] * WC[:, None, :] + WC[:, :, None] * coords[:, None, :]
+    return blocks
+
+
+def _project_off_rigid_motions(coords: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """`delta` less its least-squares part along the translations and the
+    rotations about the centroid of `coords`, which change no distance.
+
+    With C the centred coords, S = C^T C = Q diag(s) Q^T and B = Q^T (C^T
+    delta - delta^T C) Q, the rotation generator closest to delta is C A
+    with A = Q (B_ij / (s_i + s_j)) Q^T; the planes with s_i + s_j at most
+    2e-10 max(s) move no point and are left out.
+    """
+    delta = delta - delta.mean(axis=0)
+    C = coords - coords.mean(axis=0)
+    s, Q = np.linalg.eigh(C.T @ C)
+    X = C.T @ delta
+    B = Q.T @ (X - X.T) @ Q
+    pair = s[:, None] + s[None, :]
+    keep = pair > 2e-10 * s[-1]
+    B = np.divide(B, pair, out=np.zeros_like(B), where=keep)
+    return delta - C @ (Q @ B @ Q.T)
+
+
+def _cg_step(coords: np.ndarray, W: np.ndarray, g: np.ndarray, lam: float,
+             blocks: np.ndarray) -> np.ndarray:
+    """Solve (J^T J + lam I) delta = -g by conjugate gradients until the
+    residual falls to LM_CG_TOL |g|, or for at most K*m iterations.
+
+    Each row of the residual is preconditioned by the inverse of its block
+    of J^T J plus lam I, and plus 1e-12 of the block's trace, which keeps
+    the inverse off an exact zero pivot where lam is lost to rounding.
+    """
+    m = g.shape[1]
+    floor = lam + 1e-12 * np.trace(blocks, axis1=1, axis2=2)
+    inv = np.linalg.inv(blocks + floor[:, None, None] * np.eye(m))
+
+    def precondition(R):
+        return np.einsum("kij,kj->ki", inv, R)
+
+    delta = np.zeros_like(g)
+    R = -g
+    Z = precondition(R)
+    P = Z
+    rz = float(np.vdot(R, Z))
+    stop = LM_CG_TOL * float(np.linalg.norm(g))
+    for _ in range(g.size):
+        AP = _jtj_product(coords, W, P) + lam * P
+        alpha = rz / float(np.vdot(P, AP))
+        delta = delta + alpha * P
+        R = R - alpha * AP
+        if float(np.linalg.norm(R)) <= stop:
+            break
+        Z = precondition(R)
+        rz, rz_old = float(np.vdot(R, Z)), rz
+        P = Z + (rz / rz_old) * P
+    return delta
 
 
 def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> PrototypeSet:
@@ -345,71 +411,59 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
 
     Minimizes the relative pair residuals (d - D/s)/D with the l2 scale s of
     the starting set folded into the targets; first-order steps stall in the
-    flat valleys of exactly-embeddable metrics, LM does not. Sets with more
-    than LM_MAX_UNKNOWNS coordinates are returned unchanged. Each step is
-    projected off the rigid motions, which H leaves undamped but for lam:
-    otherwise rounding in g moves the result along them.
+    flat valleys of exactly-embeddable metrics, LM does not.
 
-    The polish stops after `iters` steps, when no damping gives a descent,
-    when the objective falls below 1e-30, or when an accepted step lowers it
-    by less than LM_MIN_DECREASE times its value (the relative-decrease stop
-    of Madsen, Nielsen & Tingleff 2004, sec. 3.2). On the 100-leaf tree at
-    dim 4 the steps past that point lower the objective by under 1% and move
-    the L1 scale-free distortion, which this polish does not minimize, by
-    under 0.5% in either direction; on an exactly embeddable metric the
-    quadratic convergence never trips the rule.
+    Each step solves (J^T J + lam I) delta = -g, g = J^T r, by conjugate
+    gradients that never form J^T J (Steihaug 1983's truncated Newton step):
+    with a = (c_k - c_l) / (d D) the row of pair (k, l), J^T J v takes two
+    K x K products (`_jtj_product`), and the preconditioner is the m x m
+    diagonal blocks of J^T J plus lam I (`_jtj_blocks`). CG stops once its
+    residual is below LM_CG_TOL times |g|, or after K*m iterations. The
+    step is then projected off the rigid motions (translations and
+    rotations), which J^T J leaves undamped but for lam: otherwise rounding
+    in g moves the result along them. Memory is O(K^2 + K m^2) and a CG
+    iteration O(K^2 m). g is the pair gradient of the weights r / (d D), 0
+    on a coincident pair, as is every J^T J weight there.
 
-    H = J^T J is built from per-pair m x m blocks, with a = unit_kl / D_kl:
-    block (k, l) is -a a^T, and each diagonal block is minus the sum of its
-    row's off-diagonal blocks; g = J^T r is the pair gradient of the
-    weights r / (d D), 0 on a coincident pair as its unit vector is.
+    The polish stops after `iters` steps, when g is 0 or no damping gives a
+    descent, when the objective falls below 1e-30, or when an accepted step
+    lowers it by less than LM_MIN_DECREASE times its value (the
+    relative-decrease stop of Madsen, Nielsen & Tingleff 2004, sec. 3.2). On
+    the 100-leaf tree at dim 4 the steps past that point lower the objective
+    by under 1% and move the L1 scale-free distortion, which this polish
+    does not minimize, by under 0.5% in either direction; on an exactly
+    embeddable metric the quadratic convergence never trips the rule.
     """
-    K, m = pi.size, pi.dim
-    if K * m > LM_MAX_UNKNOWNS:
-        return pi
+    K = pi.size
     _, _, t, iu, ju = _pair_data(pi, metric, DistanceSpec())
-    rows = np.arange(K)
-
-    def pairs(c):
-        diff = c[iu] - c[ju]
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff)), diff
 
     def loss(c):
-        d, diff = pairs(c)
+        d = np.sqrt(geometry.pair_sqnorms(c, c, iu, ju))
         r = (d - target) / t
-        return 0.5 * float(r @ r), r, d, diff
+        return 0.5 * float(r @ r), r, d
 
     coords = pi.coords
-    # the starting scale from the explicit differences every step takes
-    target = t / l2_scale(pairs(coords)[0], t)
-    val, r, d, diff = loss(coords)
-    gauge = _gauge_basis(coords)
+    target = t / l2_scale(np.sqrt(geometry.pair_sqnorms(coords, coords, iu, ju)), t)
+    val, r, d = loss(coords)
     lam = 1e-3
     stalled = False
     for _ in range(iters):
-        a = diff / np.maximum(d[:, None], 1e-300) / t[:, None]
-        blocks = np.zeros((K, m, K, m))
-        blocks[iu, :, ju, :] = blocks[ju, :, iu, :] = -a[:, :, None] * a[:, None, :]
-        blocks[rows, :, rows, :] = -blocks.sum(axis=2)
-        H = blocks.reshape(K * m, K * m)
-        w = np.divide(r, d * t, out=np.zeros_like(r), where=d > 0)
+        dt = d * t
+        w = np.divide(r, dt, out=np.zeros_like(r), where=d > 0)
         g = _pair_gradient(coords, iu, ju, w)
+        if not g.any():
+            break
+        W = np.zeros((K, K))
+        W[iu, ju] = W[ju, iu] = np.divide(1.0, dt * dt, out=np.zeros_like(dt), where=d > 0)
+        blocks = _jtj_blocks(coords, W)
         accepted = False
         while lam <= 1e14:
-            A = H.copy()
-            A.flat[::K * m + 1] += lam
-            try:
-                delta = np.linalg.solve(A, -g.ravel())
-            except np.linalg.LinAlgError:
-                lam *= 3.0
-                continue
-            delta -= gauge @ (gauge.T @ delta)
-            cand = coords + delta.reshape(K, m)
-            v2, r2, d2, diff2 = loss(cand)
+            delta = _project_off_rigid_motions(coords, _cg_step(coords, W, g, lam, blocks))
+            cand = coords + delta
+            v2, r2, d2 = loss(cand)
             if v2 < val:
                 stalled = val - v2 < LM_MIN_DECREASE * val
-                coords, val, r, d, diff = cand, v2, r2, d2, diff2
-                gauge = _gauge_basis(coords)
+                coords, val, r, d = cand, v2, r2, d2
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break

@@ -155,9 +155,9 @@ class TestCmdEmbed:
                      "--steps", "200", "--seed", "0", "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "prototypes.csv"))
 
-    def test_lm_polish_skipped_above_the_cap(self, tmp_path):
-        # 65 * 32 coordinates exceed the cap; the dense polish spent over a
-        # minute on the 2080 x 2080 normal equations
+    def test_lm_polish_of_2080_coordinates_is_quick(self, tmp_path):
+        # 65 * 32 coordinates: normal equations in them took over a minute,
+        # the matrix-free polish takes about a second
         star = tmp_path / "star65.tsv"
         star.write_text("".join(f"s{i}\troot\n" for i in range(65)))
         start = time.perf_counter()

@@ -1,4 +1,7 @@
+import contextlib
 import importlib
+import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,8 +12,9 @@ from scipy.optimize import minimize_scalar
 
 import protometric as pm
 from protometric import DegeneratePrototypesError, DistanceSpec, FiniteMetric, PrototypeSet
-from protometric.distortion import (LM_MAX_UNKNOWNS, LM_MIN_DECREASE, _gauge_basis,
-                                    l2_scale, lm_refine, regularizer_loss)
+from protometric.distortion import (LM_MIN_DECREASE, _jtj_blocks, _jtj_product,
+                                    _project_off_rigid_motions, l2_scale, lm_refine,
+                                    regularizer_loss)
 from protometric.geometry import TAU, dist_from_sqnorm, grad_weight_from_sqnorm
 
 from conftest import (grid_search_scale, one_shot_sqnorms, pairwise_distances,
@@ -479,37 +483,60 @@ class TestRegularizerLoss:
             regularizer_loss("none", pi, metric, EUC)
 
 
+def _gauge_basis(coords):
+    """Orthonormal (K*m, r) basis of the rigid motions at `coords`: the m
+    translations and m(m-1)/2 plane rotations, which change no distance."""
+    K, m = coords.shape
+    planes = list(itertools.combinations(range(m), 2))
+    G = np.zeros((m + len(planes), K, m))
+    G[np.arange(m), :, np.arange(m)] = 1.0
+    for i, (a, b) in enumerate(planes, start=m):
+        G[i, :, a], G[i, :, b] = -coords[:, b], coords[:, a]
+    U, s, _ = np.linalg.svd(G.reshape(len(G), K * m).T, full_matrices=False)
+    return U[:, s > 1e-10 * s[0]]
+
+
+def dense_jacobian(coords, t):
+    """The P x (K*m) Jacobian of the pair distances over the costs `t` (triu
+    order), built pair by pair: row (k, l) is a = unit_kl / t_kl on block k
+    and -a on block l, 0 on a coincident pair."""
+    K, m = coords.shape
+    iu, ju = np.triu_indices(K, k=1)
+    diff = coords[iu] - coords[ju]
+    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    unit = diff / np.maximum(d[:, None], 1e-300)
+    J = np.zeros((t.size, K * m))
+    for p in range(t.size):
+        J[p, iu[p] * m:(iu[p] + 1) * m] = unit[p] / t[p]
+        J[p, ju[p] * m:(ju[p] + 1) * m] = -unit[p] / t[p]
+    return J
+
+
 def dense_lm_refine(coords, costs, iters=200, min_decrease=LM_MIN_DECREASE):
-    """Reference LM polish: the dense P x (K*m) Jacobian built pair by pair,
-    each step projected off the rigid motions and stopped by the same rules
-    as in `lm_refine`, with `min_decrease` in place of LM_MIN_DECREASE."""
+    """Reference LM polish: normal equations of the dense Jacobian solved
+    exactly, each step projected off the rigid motions and stopped by the
+    same rules as in `lm_refine`, with `min_decrease` in place of
+    LM_MIN_DECREASE."""
     K, m = coords.shape
     iu, ju = np.triu_indices(K, k=1)
     t = costs[iu, ju]
 
     def distances(c):
         diff = c[iu] - c[ju]
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff)), diff
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
-    d0, _ = distances(coords)
-    target = t / l2_scale(d0, t)
+    target = t / l2_scale(distances(coords), t)
 
     def loss(c):
-        d, _ = distances(c)
-        r = (d - target) / t
-        return 0.5 * float(r @ r), r, d
+        r = (distances(c) - target) / t
+        return 0.5 * float(r @ r), r
 
-    val, r, d = loss(coords)
+    val, r = loss(coords)
     gauge = _gauge_basis(coords)
     lam = 1e-3
     stalled = False
     for _ in range(iters):
-        _, diff = distances(coords)
-        unit = diff / np.maximum(d[:, None], 1e-300)
-        J = np.zeros((t.size, K * m))
-        for p in range(t.size):
-            J[p, iu[p] * m:(iu[p] + 1) * m] = unit[p] / t[p]
-            J[p, ju[p] * m:(ju[p] + 1) * m] = -unit[p] / t[p]
+        J = dense_jacobian(coords, t)
         g = J.T @ r
         H = J.T @ J
         accepted = False
@@ -521,10 +548,10 @@ def dense_lm_refine(coords, costs, iters=200, min_decrease=LM_MIN_DECREASE):
                 continue
             delta -= gauge @ (gauge.T @ delta)
             cand = coords + delta.reshape(K, m)
-            v2, r2, d2 = loss(cand)
+            v2, r2 = loss(cand)
             if v2 < val:
                 stalled = val - v2 < min_decrease * val
-                coords, val, r, d = cand, v2, r2, d2
+                coords, val, r = cand, v2, r2
                 gauge = _gauge_basis(coords)
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
@@ -535,14 +562,90 @@ def dense_lm_refine(coords, costs, iters=200, min_decrease=LM_MIN_DECREASE):
     return coords
 
 
+def jtj_weights(coords, t):
+    """The K x K weights 1 / (d_kl t_kl)^2 of the matrix-free J^T J, 0 on the
+    diagonal and on coincident pairs, as the pair weights of g are."""
+    K = coords.shape[0]
+    iu, ju = np.triu_indices(K, k=1)
+    diff = coords[iu] - coords[ju]
+    dt = np.sqrt(np.einsum("ij,ij->i", diff, diff)) * t
+    W = np.zeros((K, K))
+    W[iu, ju] = W[ju, iu] = np.divide(1.0, dt * dt, out=np.zeros_like(dt), where=dt > 0)
+    return W
+
+
+class TestMatrixFreeNormalEquations:
+    """`lm_refine`'s J^T J products, preconditioner blocks and rigid-motion
+    projection against the dense Jacobian and the rigid-motion basis."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6),
+           st.sampled_from(LAYOUTS))
+    @example(0, 2, 1, "grid")
+    @example(1, 40, 6, "coincident")
+    def test_products_and_blocks_match_dense_jacobian(self, seed, K, m, layout):
+        rng = np.random.default_rng(seed)
+        coords = layout_coords(rng, K, m, layout)
+        t = random_leaf_metric(K, rng).costs[np.triu_indices(K, k=1)]
+        J = dense_jacobian(coords, t)
+        H = J.T @ J
+        W = jtj_weights(coords, t)
+        V = rng.standard_normal((K, m))
+        # each product sums K terms of up to max|W| |c|^2 |v| that cancel
+        scale = K * W.max() * np.abs(coords).max() ** 2
+        want = (H @ V.ravel()).reshape(K, m)
+        got = _jtj_product(coords, W, V)
+        assert np.all(np.abs(got - want) <= 1e-12 * max(np.abs(want).max(),
+                                                         scale * np.abs(V).max()))
+        want_blocks = H.reshape(K, m, K, m)[np.arange(K), :, np.arange(K), :]
+        got_blocks = _jtj_blocks(coords, W)
+        assert np.all(np.abs(got_blocks - want_blocks)
+                      <= 1e-12 * max(np.abs(want_blocks).max(), scale))
+
+    @staticmethod
+    def _gauge_coords(rng, layout):
+        if layout == "flat":  # six points on a plane through R^4
+            return rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4)) + 1.0
+        if layout == "wide":  # m >> K
+            return rng.standard_normal((4, 12))
+        K, m = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+        return layout_coords(rng, K, m, "random" if layout == "normal" else layout)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("normal", "coincident", "flat", "wide")))
+    def test_projection_matches_rigid_motion_basis(self, seed, layout):
+        rng = np.random.default_rng(seed)
+        coords = self._gauge_coords(rng, layout)
+        K, m = coords.shape
+        delta = rng.standard_normal((K, m))
+        G = _gauge_basis(coords)
+        want = delta - (G @ (G.T @ delta.ravel())).reshape(K, m)
+        got = _project_off_rigid_motions(coords, delta)
+        tol = 1e-12 * np.abs(delta).max()
+        assert np.abs(got - want).max() <= tol
+        assert np.abs(_project_off_rigid_motions(coords, got) - got).max() <= tol
+        # a translation plus a rotation about the origin is all gauge
+        A = rng.standard_normal((m, m))
+        motion = rng.standard_normal(m) + coords @ (A - A.T)
+        assert np.abs(_project_off_rigid_motions(coords, motion)).max() \
+            <= 1e-12 * np.abs(motion).max()
+
+
 class TestLmRefine:
     # the 27-leaf polish stops after one step; the tests that follow its
-    # trajectory switch the relative stop off so they run all 200 steps
+    # trajectory switch the relative stop off so they run all 200 steps, and
+    # solve each step to the dense oracle's accuracy
     _MODULE = importlib.import_module("protometric.distortion")
 
     @classmethod
+    def _tight_cg(cls):
+        return mock.patch.object(cls._MODULE, "LM_CG_TOL", 1e-12)
+
+    @classmethod
+    @contextlib.contextmanager
     def _without_relative_stop(cls):
-        return mock.patch.object(cls._MODULE, "LM_MIN_DECREASE", 0.0)
+        with cls._tight_cg(), mock.patch.object(cls._MODULE, "LM_MIN_DECREASE", 0.0):
+            yield
 
     @staticmethod
     def _adam_fit(metric, dim, steps=300, seed=0):
@@ -574,7 +677,8 @@ class TestLmRefine:
         # the unit star on 4 leaves is a regular tetrahedron in R^3
         metric = pm.cost_matrix(pm.parse_taxonomy("a\tr\nb\tr\nc\tr\nd\tr\n"))
         pi = self._adam_fit(metric, 3)
-        out = lm_refine(pi, metric)
+        with self._tight_cg():
+            out = lm_refine(pi, metric)
         np.testing.assert_array_equal(out.coords, dense_lm_refine(pi.coords, metric.costs))
         assert pm.scale_free_distortion(out, metric, EUC) < 1e-12
         assert self._objective(pi, out, metric) < 1e-30  # the relative stop never trips
@@ -632,9 +736,20 @@ class TestLmRefine:
             np.testing.assert_allclose(lm_refine(nudged, metric).coords,
                                        lm_refine(pi, metric).coords, rtol=0, atol=1e-10)
 
-    def test_above_the_cap_returns_input_unchanged(self):
-        K = 65
+    def test_65_leaves_at_dim_32_polish_in_small_memory(self):
+        # 2080 unknowns, whose normal equations alone take 2080^2 * 8 bytes =
+        # 33 MiB; the matrix-free steps hold a few K x K and K x m x m arrays,
+        # and the objective's pair differences (P * m = K * m^2 entries here).
+        # Measured peak: 2.9 MiB, against a bound of 4.3 MiB
+        K, m = 65, 32
         metric = uniform_metric(K)
-        pi = PrototypeSet(np.random.default_rng(0).standard_normal((K, 32)), tuple(range(K)))
-        assert K * 32 > LM_MAX_UNKNOWNS
-        assert lm_refine(pi, metric) is pi
+        pi = PrototypeSet(np.random.default_rng(0).standard_normal((K, m)), tuple(range(K)))
+        tracemalloc.start()
+        try:
+            out = lm_refine(pi, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out.coords))
+        assert self._objective(pi, out, metric) < self._objective(pi, pi, metric)
+        assert peak < 8 * 8 * (K * K + K * m * m)  # eight arrays of each size

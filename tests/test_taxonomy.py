@@ -1,4 +1,6 @@
+import importlib
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,7 +176,54 @@ class TestCostMatrix:
             assert metric.costs[leaf, root] == pytest.approx(total, rel=1e-12)
 
 
+def row_loop_validate_metric(D, tol=0.0):
+    """The violation listing of validate_metric from a row-at-a-time
+    min-plus over every (i, j, k), kept as its oracle."""
+    D = np.asarray(D, dtype=np.float64)
+    K = D.shape[0]
+    violations = []
+    for i, j in np.argwhere(np.abs(D - D.T) > tol):
+        if i < j:
+            violations.append(pm.MetricViolation("asymmetry", (int(i), int(j))))
+    for i in np.argwhere(np.abs(np.diag(D)) > tol).ravel():
+        violations.append(pm.MetricViolation("diagonal", (int(i),)))
+    for i, j in np.argwhere(~np.eye(K, dtype=bool) & (D <= tol)):
+        violations.append(pm.MetricViolation("non-positive", (int(i), int(j))))
+    buffer = np.empty_like(D)
+    for i in range(K):
+        np.add(D[i][:, None], D, out=buffer)  # buffer[j, k] = D[i,j] + D[j,k]
+        if np.any(D[i] > buffer.min(axis=0) + tol):
+            for j, k in np.argwhere(D[i][None, :] > buffer + tol):
+                if i != j and j != k and i != k:
+                    violations.append(pm.MetricViolation("triangle", (int(i), int(j), int(k))))
+    return violations
+
+
 class TestValidateMetric:
+    _MODULE = importlib.import_module("protometric.taxonomy")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40),
+           st.lists(st.sampled_from(("asymmetry", "diagonal", "non-positive", "triangle")),
+                    max_size=4),
+           st.sampled_from((0.0, 0.5)), st.integers(1, 5))
+    def test_planted_violations_match_row_loop(self, seed, n_nodes, plants, tol, block_rows):
+        rng = np.random.default_rng(seed)
+        D = pm.cost_matrix(random_taxonomy(n_nodes, rng, weighted=True), "all-nodes").costs.copy()
+        K = D.shape[0]
+        for kind in plants:
+            i, k = rng.integers(0, K, 2)
+            if kind == "asymmetry":
+                D[i, k] += 1.0
+            elif kind == "diagonal":
+                D[i, i] = 1.0
+            elif kind == "non-positive":
+                D[i, k] = D[k, i] = -float(rng.integers(0, 2))
+            else:
+                D[i, k] = D[k, i] = 3.0 * D[i, k] + 1.0
+        with mock.patch.object(self._MODULE, "MINPLUS_BYTES", 8 * K * K * block_rows):
+            assert pm.validate_metric(D, tol) == row_loop_validate_metric(D, tol)
+
     def test_tree_metric_clean(self, toy_tax):
         assert pm.validate_metric(pm.cost_matrix(toy_tax).costs) == []
 
