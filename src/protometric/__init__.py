@@ -19,17 +19,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "data": "DataError Dataset gen_hierarchical_gaussians load_csv split",
     "distortion": "DegeneratePrototypesError DistortionReport PrototypeSet TripletBatch "
-                  "disto_loss distortion distortion_report l2_scale optimal_scale_l1 "
-                  "rank_loss sample_triplets scale_free_distortion",
+                  "disto_loss distortion distortion_report fit_prototypes l2_scale "
+                  "optimal_scale_l1 rank_loss sample_triplets scale_free_distortion",
     "evaluation": "EvalReport aggregate_reports evaluate evaluate_checkpoint",
     "geometry": "DistanceSpec",
     "inference": "Prediction PrototypeIndex build_index predict predict_any_node "
                  "predict_max_prob predict_min_expected_cost",
     "model": "Checkpoint EmbeddingModel LinearHead LossBreakdown TrainConfig TrainHistory "
-             "TrainingDivergedError TrainResult data_loss finite_difference_check forward "
-             "init_embedding_model leaf_prototype_rows load_checkpoint posterior "
-             "save_checkpoint soft_label_targets total_loss train",
-    "optim": "Adam OptimizerSpec Sgd make_optimizer",
+             "TrainResult data_loss finite_difference_check forward init_embedding_model "
+             "leaf_prototype_rows load_checkpoint posterior save_checkpoint "
+             "soft_label_targets total_loss train",
+    "optim": "Adam OptimizerSpec Sgd TrainingDivergedError make_optimizer",
     "taxonomy": "FiniteMetric MetricViolation Taxonomy TaxonomyError TaxonomyNode "
                 "cost_matrix metric_to_csv parse_taxonomy validate_metric",
 }

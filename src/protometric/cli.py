@@ -123,11 +123,9 @@ def cmd_cost(args) -> int:
 def cmd_embed(args) -> int:
     import numpy as np
 
-    from .distortion import (PrototypeSet, distortion_report, lm_refine,
-                             regularizer_loss)
+    from .distortion import PrototypeSet, distortion_report, fit_prototypes
     from .geometry import DistanceSpec
-    from .model import TrainingDivergedError
-    from .optim import OptimizerSpec, make_optimizer
+    from .optim import OptimizerSpec, TrainingDivergedError
     from .taxonomy import cost_matrix
 
     for flag, value in (("--steps", args.steps), ("--dim", args.dim),
@@ -135,7 +133,7 @@ def cmd_embed(args) -> int:
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     _check_seed("--seed", args.seed)
-    opt = make_optimizer(OptimizerSpec(lr=args.lr))
+    OptimizerSpec(lr=args.lr)  # rejects a --lr that is not positive and finite
     tax = _read_taxonomy(args.taxonomy, args.format)
     metric = cost_matrix(tax, "all-nodes" if args.nodes == "all" else "leaves-only")
     node_ids = (tuple(range(tax.n_nodes)) if args.nodes == "all"
@@ -143,20 +141,12 @@ def cmd_embed(args) -> int:
     spec = DistanceSpec(kind=args.distance, delta=args.delta)
     rng = np.random.default_rng(args.seed)
     coords = rng.standard_normal((metric.size, args.dim))
-
-    K = metric.size
-    exhaustive = K * (K - 1) * (K - 2) <= 2000
-    for step in range(args.steps):
-        opt.lr = args.lr * (1.0 - step / args.steps)  # decay to 0 for a tight fit
-        _, _, grads = regularizer_loss(args.regularizer, PrototypeSet(coords, node_ids),
-                                       metric, spec, rng, args.triplets, exhaustive)
-        opt.step({"proto": coords}, {"proto": grads})
-        if not np.all(np.isfinite(coords)):
-            raise TrainingDivergedError(f"non-finite prototypes at step {step + 1} "
-                                        f"(--lr {args.lr})")
+    try:
+        coords = fit_prototypes(metric, spec, args.regularizer, rng, coords, args.steps,
+                                args.lr, args.triplets)
+    except TrainingDivergedError as exc:
+        raise TrainingDivergedError(f"{exc} (--lr {args.lr})") from None
     pi = PrototypeSet(coords, node_ids)
-    if args.regularizer == "disto" and spec.kind == "euclidean":
-        pi = lm_refine(pi, metric)
     report = distortion_report(pi, metric, spec)
     out = args.out
     _write_text(os.path.join(out, "prototypes.csv"), _prototypes_csv(pi, tax))

@@ -24,7 +24,9 @@ import numpy as np
 
 from . import geometry
 from .formats import Record
-from .geometry import DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract
+from .geometry import (EUCLIDEAN, DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm,
+                       pair_contract)
+from .optim import OptimizerSpec, TrainingDivergedError, make_optimizer
 from .taxonomy import FiniteMetric
 
 
@@ -105,13 +107,24 @@ class TripletBatch:
 
 
 @functools.lru_cache(maxsize=8)
-def _upper_pairs(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only row and column indices of the K x K strict upper
-    triangle, built once per K: every regularizer step asks for them."""
+def _upper_pairs(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only indices of the K x K strict upper triangle, built once
+    per K: rows iu, columns ju, and the flat indices iu*K + ju and ju*K + iu
+    of each pair and its mirror, for one-dimensional `take` gathers and
+    writes, which cost a fraction of the 2-D fancy ones."""
     iu, ju = np.triu_indices(K, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+    upper, lower = iu * K + ju, ju * K + iu
+    for index in (iu, ju, upper, lower):
+        index.setflags(write=False)
+    return iu, ju, upper, lower
+
+
+def _pair_costs(metric: FiniteMetric, upper: np.ndarray) -> np.ndarray:
+    """The costs of the unordered pairs, each of which must be positive."""
+    costs = metric.costs.take(upper)
+    if np.any(costs <= 0):
+        raise ValueError("cost matrix has a zero or negative off-diagonal entry")
+    return costs
 
 
 def _pair_data(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec):
@@ -119,11 +132,9 @@ def _pair_data(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec):
     K = pi.size
     if metric.size != K:
         raise ValueError(f"prototype count {K} does not match metric size {metric.size}")
-    iu, ju = _upper_pairs(K)
-    costs = metric.costs[iu, ju]
-    if np.any(costs <= 0):
-        raise ValueError("cost matrix has a zero or negative off-diagonal entry")
-    sq = geometry.pairwise_sqnorms(pi.coords, pi.coords)[iu, ju]
+    iu, ju, upper, _ = _upper_pairs(K)
+    costs = _pair_costs(metric, upper)
+    sq = geometry.pairwise_sqnorms(pi.coords, pi.coords).take(upper)
     d = dist_from_sqnorm(spec, sq)
     return d, sq, costs, iu, ju
 
@@ -181,13 +192,49 @@ def l2_scale(distances: np.ndarray, costs: np.ndarray) -> float:
     return float(np.sum(distances / costs) / denom)
 
 
-def _pair_gradient(coords: np.ndarray, iu: np.ndarray, ju: np.ndarray,
-                   w: np.ndarray) -> np.ndarray:
+def _pair_matrix(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`out`, a zero-diagonal K x K matrix, with the pair weights w (in triu
+    order) written at each pair and its mirror."""
+    _, _, upper, lower = _upper_pairs(out.shape[0])
+    flat = out.reshape(-1)
+    flat[upper] = flat[lower] = w
+    return out
+
+
+def _pair_gradient(coords: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Row k is the sum over the unordered pairs {k, l} of w_kl (pi_k - pi_l):
     the pair weights go into a symmetric K x K matrix for pair_contract."""
-    W = np.zeros((coords.shape[0],) * 2)
-    W[iu, ju] = W[ju, iu] = w
+    W = _pair_matrix(w, np.zeros((coords.shape[0],) * 2))
     return pair_contract(W, coords, coords)
+
+
+def _disto_terms(metric: FiniteMetric, spec: DistanceSpec, fixed_scale: bool = False):
+    """`disto_loss` bound to the metric: coords -> (value, s_star, grads).
+
+    The work that does not depend on the coordinates is done here, once:
+    the pair indices, the gathered costs and their positivity check, the
+    normalizer and one K x K weight buffer, whose diagonal stays 0 and whose
+    pairs every call overwrites. A prototype-only fit calls the result at
+    every step; `coords` must have metric.size rows.
+    """
+    K = metric.size
+    _, _, upper, _ = _upper_pairs(K)
+    costs = _pair_costs(metric, upper)
+    norm = 2.0 / (K * (K - 1))
+    W = np.zeros((K, K))
+
+    def terms(coords: np.ndarray):
+        sq = geometry.pairwise_sqnorms(coords, coords).take(upper)
+        d = dist_from_sqnorm(spec, sq)
+        s = 1.0 if fixed_scale else l2_scale(d, costs)
+        resid = (s * d - costs) / costs
+        value = float(norm * np.sum(resid * resid))
+
+        dvalue_dd = norm * 2.0 * resid * s / costs
+        w = dvalue_dd * grad_weight_from_sqnorm(spec, sq)
+        return value, float(s), pair_contract(_pair_matrix(w, W), coords, coords)
+
+    return terms
 
 
 def disto_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
@@ -199,17 +246,13 @@ def disto_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
     gradient: the value of the inner minimum is differentiable wherever the
     minimizer is unique, so the partial derivative at s* is the gradient of
     the minimized objective (envelope property).
-    """
-    d, sq, costs, iu, ju = _pair_data(pi, metric, spec)
-    K = pi.size
-    s = 1.0 if fixed_scale else l2_scale(d, costs)
-    resid = (s * d - costs) / costs
-    norm = 2.0 / (K * (K - 1))
-    value = float(norm * np.sum(resid * resid))
 
-    dvalue_dd = norm * 2.0 * resid * s / costs
-    w = dvalue_dd * grad_weight_from_sqnorm(spec, sq)
-    return value, float(s), _pair_gradient(pi.coords, iu, ju, w)
+    This is the per-call form of the term `_disto_terms` binds once for a
+    prototype-only fit; both give the same bits.
+    """
+    if metric.size != pi.size:
+        raise ValueError(f"prototype count {pi.size} does not match metric size {metric.size}")
+    return _disto_terms(metric, spec, fixed_scale)(pi.coords)
 
 
 def sample_triplets(K: int, S: int, rng: np.random.Generator,
@@ -307,6 +350,26 @@ def regularizer_loss(kind: str, pi: PrototypeSet, metric: FiniteMetric,
     if kind not in ("disto", "disto-fixed-scale"):
         raise ValueError(f"unknown regularizer '{kind}'")
     return disto_loss(pi, metric, spec, fixed_scale=kind == "disto-fixed-scale")
+
+
+def _regularizer_term(kind: str, start: PrototypeSet, metric: FiniteMetric,
+                      spec: DistanceSpec, rng: np.random.Generator | None = None,
+                      triplet_count: int = 10, exhaustive: bool = False):
+    """`regularizer_loss` bound once for the coordinates of prototype sets
+    shaped like `start`: coords -> (value, s, grads), the same bits.
+
+    The disto kinds build no PrototypeSet per call and do their metric-only
+    work here; "rank" wraps each call's coordinates in a set as before.
+    """
+    if start.size != metric.size:
+        raise ValueError(f"prototype count {start.size} does not match metric size "
+                         f"{metric.size}")
+    if kind == "rank":
+        return lambda coords: regularizer_loss(kind, start.with_coords(coords), metric, spec,
+                                               rng, triplet_count, exhaustive)
+    if kind not in ("disto", "disto-fixed-scale"):
+        raise ValueError(f"unknown regularizer '{kind}'")
+    return _disto_terms(metric, spec, fixed_scale=kind == "disto-fixed-scale")
 
 
 def distortion_report(pi: PrototypeSet, metric: FiniteMetric,
@@ -450,11 +513,11 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
     for _ in range(iters):
         dt = d * t
         w = np.divide(r, dt, out=np.zeros_like(r), where=d > 0)
-        g = _pair_gradient(coords, iu, ju, w)
+        g = _pair_gradient(coords, w)
         if not g.any():
             break
-        W = np.zeros((K, K))
-        W[iu, ju] = W[ju, iu] = np.divide(1.0, dt * dt, out=np.zeros_like(dt), where=d > 0)
+        W = _pair_matrix(np.divide(1.0, dt * dt, out=np.zeros_like(dt), where=d > 0),
+                         np.zeros((K, K)))
         blocks = _jtj_blocks(coords, W)
         accepted = False
         while lam <= 1e14:
@@ -471,3 +534,34 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
         if not accepted or stalled or val < 1e-30:
             break
     return pi.with_coords(coords)
+
+
+def fit_prototypes(metric: FiniteMetric, spec: DistanceSpec, regularizer: str,
+                   rng: np.random.Generator, coords: np.ndarray, steps: int, lr: float,
+                   triplets: int = 10) -> np.ndarray:
+    """Fit prototypes to the cost metric alone; returns the (K, m) coordinates.
+
+    Adam takes `steps` full-batch steps on the regularizer ("disto",
+    "disto-fixed-scale" or "rank") from `coords`, which is left as it is,
+    with its learning rate decayed linearly from `lr` towards 0 for a tight
+    fit. "rank" draws `triplets` triples per step from `rng`, or takes all
+    of them when K(K-1)(K-2) <= 2000. A Euclidean "disto" fit ends with the
+    `lm_refine` polish. Raises TrainingDivergedError, naming the step, once
+    a coordinate stops being finite.
+    """
+    start = PrototypeSet(coords, tuple(range(len(coords))))
+    K = metric.size
+    loss = _regularizer_term(regularizer, start, metric, spec, rng, triplets,
+                             exhaustive=K * (K - 1) * (K - 2) <= 2000)
+    coords = np.array(start.coords)
+    opt = make_optimizer(OptimizerSpec(lr=lr))
+    for step in range(steps):
+        opt.lr = lr * (1.0 - step / steps)
+        _, _, grads = loss(coords)
+        opt.step({"proto": coords}, {"proto": grads})
+        if not np.all(np.isfinite(coords)):
+            raise TrainingDivergedError(f"non-finite prototypes at step {step + 1}")
+    del loss  # frees the bound term's K x K buffer before the polish allocates its own
+    if regularizer == "disto" and spec.kind == EUCLIDEAN:
+        return lm_refine(start.with_coords(coords), metric).coords
+    return coords

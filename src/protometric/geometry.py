@@ -158,14 +158,15 @@ def pair_sqnorms(X: np.ndarray, Y: np.ndarray, i: np.ndarray, j: np.ndarray) -> 
     The differences are taken about BUDGET bytes of pairs at a time; each
     entry depends on its own pair alone, so the result does not depend on
     the block size and is bit-equal to the same entry of an (n, k, m)
-    difference tensor.
+    difference tensor. The rows are gathered by `take`, which copies the
+    same values as fancy indexing at a fraction of its cost for short rows.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     out = np.empty(len(i))
     step = max(1, BUDGET // max(1, 8 * X.shape[1]))
     for start in range(0, len(i), step):
-        diff = X[i[start:start + step]] - Y[j[start:start + step]]
+        diff = X.take(i[start:start + step], axis=0) - Y.take(j[start:start + step], axis=0)
         out[start:start + step] = np.einsum("pm,pm->p", diff, diff)
     return out
 

@@ -15,11 +15,11 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .data import Dataset
-from .distortion import PrototypeSet, regularizer_loss
+from .distortion import PrototypeSet, _regularizer_term, regularizer_loss
 from .formats import Record, csv_text, json_text, parse_json
 from .geometry import (DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract,
                        pairwise_sqnorms)
-from .optim import OptimizerSpec, make_optimizer
+from .optim import OptimizerSpec, TrainingDivergedError, make_optimizer
 from .taxonomy import FiniteMetric, Taxonomy, cost_matrix
 
 ARCHITECTURES = ("identity", "linear", "mlp")
@@ -30,10 +30,6 @@ SCHEDULES = ("joint", "fixed-proto")
 
 CHECKPOINT_VERSION = 1
 BLOCK_ROWS = 4096  # most feature rows `leaf_posterior` runs forward at once
-
-
-class TrainingDivergedError(FloatingPointError):
-    """Loss or parameters became non-finite during training."""
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +439,11 @@ def _fit_prototypes_alone(coords, metric_reg, config, rng, max_steps=10_000,
                           rel_tol=1e-8):
     """Stage 1 of the fixed-proto schedule: minimize the regularizer only."""
     opt = make_optimizer(config.optimizer)
-    class_map = tuple(range(coords.shape[0]))
+    loss = _regularizer_term(config.regularizer, PrototypeSet(coords, tuple(range(len(coords)))),
+                             metric_reg, config.distance, rng, config.triplet_count)
     prev = None
     for step in range(max_steps):
-        value, _, grads = regularizer_loss(config.regularizer,
-                                           PrototypeSet(coords, class_map),
-                                           metric_reg, config.distance, rng,
-                                           config.triplet_count)
+        value, _, grads = loss(coords)
         opt.step({"proto": coords}, {"proto": grads})
         if not np.all(np.isfinite(coords)):
             raise TrainingDivergedError(f"non-finite prototypes at stage-1 step {step + 1} "

@@ -25,6 +25,10 @@ class OptimizerSpec(Record):
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
 
 
+class TrainingDivergedError(FloatingPointError):
+    """Loss or parameters became non-finite during training."""
+
+
 class Sgd:
     def __init__(self, lr, momentum=0.0):
         self.lr = lr

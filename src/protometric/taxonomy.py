@@ -248,24 +248,34 @@ def cost_matrix(tax: Taxonomy, nodes: str = "leaves-only") -> FiniteMetric:
         raise TaxonomyError(f"unknown node selection '{nodes}'")
 
     # Distance from the root plus the deepest common ancestor of each pair:
-    # D[a, b] = depth[a] + depth[b] - 2 * depth[lca(a, b)]. Writing each
-    # node's depth over the (descendants x descendants) block in root-first
-    # order leaves exactly the lca depth on every pair.
+    # D[a, b] = depth[a] + depth[b] - 2 * depth[lca(a, b)]. Numbered in a
+    # preorder (each node before its children), the selected nodes of a
+    # subtree form one contiguous range, so writing each node's depth over
+    # its range x range square in root-first order leaves exactly the lca
+    # depth on every pair; one gather then puts the rows in document order.
+    # A square of one cell is skipped: it lies on the diagonal, which D zeroes.
     n = tax.n_nodes
-    pos = {node_id: p for p, node_id in enumerate(selected)}
-    members: list[list[int]] = [[] for _ in range(n)]  # selected nodes per subtree
+    chosen = [0] * n
+    for i in selected:
+        chosen[i] = 1
+    size = [0] * n  # selected nodes per subtree
     for i in reversed(tax.root_first):
-        if i in pos:
-            members[i].append(pos[i])
+        size[i] = chosen[i] + sum(size[c] for c in tax.children(i))
+    first = [0] * n  # preorder number of the first selected node of each subtree
+    for i in tax.root_first:
+        at = first[i] + chosen[i]
         for child in tax.children(i):
-            members[i].extend(members[child])
+            first[child] = at
+            at += size[child]
 
     K = len(selected)
     lca_depth = np.zeros((K, K))
     for i in tax.root_first:
-        block = members[i]
-        if len(block) > 1 or (block and i in pos):
-            lca_depth[np.ix_(block, block)] = tax.depth[i]
+        if size[i] > 1:
+            a, b = first[i], first[i] + size[i]
+            lca_depth[a:b, a:b] = tax.depth[i]
+    order = [first[i] for i in selected]
+    lca_depth = lca_depth[np.ix_(order, order)]
     sel_depth = tax.depth[list(selected)]
     D = sel_depth[:, None] + sel_depth[None, :] - 2.0 * lca_depth
     np.fill_diagonal(D, 0.0)

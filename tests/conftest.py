@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import protometric as pm
-from protometric.distortion import l2_scale
+from protometric import geometry
+from protometric.distortion import l2_scale, regularizer_loss
 from protometric.geometry import EUCLIDEAN, DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm
 
 # Six nodes, three leaves; the toy hierarchy used across the suite.
@@ -183,6 +184,38 @@ def scatter_disto_loss(pi: pm.PrototypeSet, metric: pm.FiniteMetric, spec: Dista
     np.add.at(grads, iu, w[:, None] * diff)
     np.add.at(grads, ju, -w[:, None] * diff)
     return float(norm * np.sum(resid * resid)), s, grads, w
+
+
+def triu_disto_loss(pi: pm.PrototypeSet, metric: pm.FiniteMetric, spec: DistanceSpec,
+                    fixed_scale: bool = False):
+    """disto_loss as it was before the metric-bound term, kept as its bit
+    for bit oracle: 2-D gathers of the upper triangle on every call and a
+    fresh K x K weight matrix filled by 2-D fancy writes."""
+    K = pi.size
+    iu, ju = np.triu_indices(K, k=1)
+    costs = metric.costs[iu, ju]
+    if np.any(costs <= 0):
+        raise ValueError("cost matrix has a zero or negative off-diagonal entry")
+    sq = geometry.pairwise_sqnorms(pi.coords, pi.coords)[iu, ju]
+    d = dist_from_sqnorm(spec, sq)
+    s = 1.0 if fixed_scale else l2_scale(d, costs)
+    resid = (s * d - costs) / costs
+    norm = 2.0 / (K * (K - 1))
+    value = float(norm * np.sum(resid * resid))
+
+    dvalue_dd = norm * 2.0 * resid * s / costs
+    w = dvalue_dd * grad_weight_from_sqnorm(spec, sq)
+    W = np.zeros((K, K))
+    W[iu, ju] = W[ju, iu] = w
+    return value, float(s), geometry.pair_contract(W, pi.coords, pi.coords)
+
+
+def triu_regularizer_loss(kind, pi, metric, spec, rng=None, triplet_count=10,
+                          exhaustive=False):
+    """regularizer_loss with the disto kinds from `triu_disto_loss`."""
+    if kind == "rank":
+        return regularizer_loss(kind, pi, metric, spec, rng, triplet_count, exhaustive)
+    return triu_disto_loss(pi, metric, spec, fixed_scale=kind == "disto-fixed-scale")
 
 
 def scatter_lm_gradient(coords: np.ndarray, target: np.ndarray, costs: np.ndarray):

@@ -12,14 +12,15 @@ from scipy.optimize import minimize_scalar
 
 import protometric as pm
 from protometric import DegeneratePrototypesError, DistanceSpec, FiniteMetric, PrototypeSet
-from protometric.distortion import (LM_MIN_DECREASE, _jtj_blocks, _jtj_product,
-                                    _project_off_rigid_motions, l2_scale, lm_refine,
-                                    regularizer_loss)
+from protometric.distortion import (LM_MIN_DECREASE, _disto_terms, _jtj_blocks, _jtj_product,
+                                    _project_off_rigid_motions, _upper_pairs, l2_scale,
+                                    lm_refine, regularizer_loss)
 from protometric.geometry import TAU, dist_from_sqnorm, grad_weight_from_sqnorm
 
 from conftest import (grid_search_scale, one_shot_sqnorms, pairwise_distances,
                       random_leaf_metric, random_prototype_instance, scaled_l1_sum,
-                      scatter_disto_loss, scatter_lm_gradient)
+                      scatter_disto_loss, scatter_lm_gradient, triu_disto_loss,
+                      triu_regularizer_loss)
 
 EUC = DistanceSpec("euclidean")
 
@@ -319,6 +320,139 @@ class TestPairKernelsAgainstScatter:
         for coords, g in seen:  # one g per accepted step
             want, w = scatter_lm_gradient(coords, target, costs)
             assert_matches_scatter(g, want, coords, w)
+
+
+@pytest.mark.parametrize("K", [2, 3, 7, 100])
+def test_upper_pairs_flat_indices(K):
+    iu, ju, upper, lower = _upper_pairs(K)
+    want_iu, want_ju = np.triu_indices(K, k=1)
+    np.testing.assert_array_equal(iu, want_iu)
+    np.testing.assert_array_equal(ju, want_ju)
+    W = np.arange(K * K, dtype=np.float64).reshape(K, K)
+    np.testing.assert_array_equal(W.take(upper), W[iu, ju])
+    np.testing.assert_array_equal(W.take(lower), W[ju, iu])
+    for index in (iu, ju, upper, lower):
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
+
+
+class TestBoundDistoTerm:
+    """`disto_loss` and the term `_disto_terms` binds, bit for bit against
+    the 2-D gathers and the fresh weight matrix they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 8),
+           st.sampled_from([EUC, DistanceSpec("squared-euclidean"),
+                            DistanceSpec("huber", delta=0.5)]),
+           st.sampled_from(LAYOUTS + ("near",)), st.booleans())
+    @example(0, 2, 1, EUC, "grid", False)
+    @example(1, 40, 4, EUC, "near", False)
+    @example(2, 30, 2, DistanceSpec("huber", delta=0.5), "near", True)
+    def test_equals_triangle_oracle(self, seed, K, m, spec, layout, fixed_scale):
+        rng = np.random.default_rng(seed)
+        metric = random_leaf_metric(K, rng)
+        if layout == "near":  # coincident rows, each moved by about 1e-9
+            coords = layout_coords(rng, K, m, "coincident")
+            coords[2:] += 1e-9 * rng.standard_normal((K - 2, m))
+        else:
+            coords = layout_coords(rng, K, m, layout)
+        pi = PrototypeSet(coords, tuple(range(K)))
+        want = triu_disto_loss(pi, metric, spec, fixed_scale)
+        term = _disto_terms(metric, spec, fixed_scale)
+        term(rng.standard_normal((K, m)))  # the reused weight buffer keeps nothing
+        for got in (pm.disto_loss(pi, metric, spec, fixed_scale), term(pi.coords)):
+            assert got[:2] == want[:2]
+            np.testing.assert_array_equal(got[2], want[2])
+
+    def test_zero_cost_rejected_when_bound(self):
+        costs = np.ones((3, 3)) - np.eye(3)
+        costs[0, 2] = costs[2, 0] = 0.0
+        metric = FiniteMetric(("a", "b", "c"), costs)
+        coords = np.eye(3)
+        for fit in (lambda: _disto_terms(metric, EUC),
+                    lambda: pm.disto_loss(PrototypeSet(coords, (0, 1, 2)), metric, EUC),
+                    lambda: pm.fit_prototypes(metric, EUC, "disto", None, coords, 5, 0.05)):
+            with pytest.raises(ValueError, match="zero or negative off-diagonal entry"):
+                fit()
+
+
+def embed_loop(metric, spec, regularizer, rng, coords, steps, lr, triplets=10):
+    """`embed`'s fit as it was before `fit_prototypes`, kept as its oracle: a
+    fresh PrototypeSet and a regularizer call (the disto kinds in their 2-D
+    gather form) at every step."""
+    K = metric.size
+    class_map = tuple(range(K))
+    exhaustive = K * (K - 1) * (K - 2) <= 2000
+    opt = pm.make_optimizer(pm.OptimizerSpec(lr=lr))
+    for step in range(steps):
+        opt.lr = lr * (1.0 - step / steps)
+        _, _, grads = triu_regularizer_loss(regularizer, PrototypeSet(coords, class_map),
+                                            metric, spec, rng, triplets, exhaustive)
+        opt.step({"proto": coords}, {"proto": grads})
+        if not np.all(np.isfinite(coords)):
+            raise pm.TrainingDivergedError(f"non-finite prototypes at step {step + 1}")
+    pi = PrototypeSet(coords, class_map)
+    if regularizer == "disto" and spec.kind == "euclidean":
+        pi = lm_refine(pi, metric)
+    return pi.coords
+
+
+class TestFitPrototypes:
+    # 15 nodes, 11 leaves: the leaves take every rank triple (990 <= 2000),
+    # all nodes a sample of them
+    TREE = pm.parse_taxonomy("".join(f"{p}{i}\t{p}\n" for p, n in (("A", 4), ("B", 4), ("C", 3))
+                                     for i in range(n)) + "A\troot\nB\troot\nC\troot\n")
+
+    @staticmethod
+    def _start(seed, K, dim):
+        """The rng and start of `embed --seed seed`: normals, then the rng."""
+        rng = np.random.default_rng(seed)
+        return rng, rng.standard_normal((K, dim))
+
+    def _both(self, metric, spec, regularizer, seed, dim, steps=80, lr=0.05):
+        rng, start = self._start(seed, metric.size, dim)
+        got = pm.fit_prototypes(metric, spec, regularizer, rng, start, steps, lr, 7)
+        rng, start_again = self._start(seed, metric.size, dim)
+        np.testing.assert_array_equal(start, start_again)  # left as it was
+        want = embed_loop(metric, spec, regularizer, rng, start_again, steps, lr, 7)
+        return got, want
+
+    @pytest.mark.parametrize("spec", [EUC, DistanceSpec("squared-euclidean"),
+                                      DistanceSpec("huber", delta=0.3)])
+    @pytest.mark.parametrize("nodes", ["leaves-only", "all-nodes"])
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_disto_equals_embed_loop(self, spec, nodes, dim):
+        metric = pm.cost_matrix(self.TREE, nodes)
+        for seed in (0, 1):
+            got, want = self._both(metric, spec, "disto", seed, dim)
+            np.testing.assert_array_equal(got, want)
+
+    def test_disto_fixed_scale_equals_embed_loop(self):
+        metric = pm.cost_matrix(self.TREE)
+        got, want = self._both(metric, EUC, "disto-fixed-scale", 3, 2)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("nodes", ["leaves-only", "all-nodes"])  # exhaustive, sampled
+    def test_rank_equals_embed_loop(self, nodes):
+        metric = pm.cost_matrix(self.TREE, nodes)
+        for seed in (0, 1):
+            got, want = self._both(metric, EUC, "rank", seed, 2, steps=40)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_step(self):
+        metric = pm.cost_matrix(self.TREE)
+        with pytest.raises(pm.TrainingDivergedError) as got:
+            self._both(metric, EUC, "disto", 0, 2, steps=20, lr=1e300)
+        rng, start = self._start(0, metric.size, 2)
+        with pytest.raises(pm.TrainingDivergedError) as want:
+            embed_loop(metric, EUC, "disto", rng, start, 20, 1e300)
+        assert str(got.value) == str(want.value) == "non-finite prototypes at step 2"
+
+    def test_rejects_a_start_of_the_wrong_size(self):
+        metric = pm.cost_matrix(self.TREE)
+        with pytest.raises(ValueError, match="does not match metric size"):
+            pm.fit_prototypes(metric, EUC, "disto", None, np.ones((3, 2)), 5, 0.05)
 
 
 class TestSampleTriplets:

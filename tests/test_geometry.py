@@ -209,6 +209,20 @@ def test_pair_sqnorms_blocks_equal_one_gather(m):
         np.testing.assert_array_equal(got, one_shot_sqnorms(X, Y)[i, j])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.integers(0, 300), st.booleans())
+def test_pair_sqnorms_takes_the_rows_of_fancy_indexing(seed, m, count, strided):
+    # the rows are gathered by take; fancy indexing is the oracle, on
+    # contiguous inputs and on strided views of them
+    rng = np.random.default_rng(seed)
+    X, Y = rng.standard_normal((25, 2 * m)), rng.standard_normal((12, 2 * m))
+    X, Y = (X[:, ::2], Y[:, 1::2]) if strided else (X[:, :m].copy(), Y[:, :m].copy())
+    i, j = rng.integers(0, 25, count), rng.integers(0, 12, count)
+    diff = X[i] - Y[j]
+    np.testing.assert_array_equal(geometry.pair_sqnorms(X, Y, i, j),
+                                  np.einsum("pm,pm->p", diff, diff))
+
+
 def test_pair_contract_sums_weighted_differences():
     rng = np.random.default_rng(3)
     C, A, B = rng.standard_normal((5, 4)), rng.standard_normal((5, 3)), rng.standard_normal((4, 3))

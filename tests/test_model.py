@@ -11,7 +11,7 @@ from protometric import model as model_module
 from protometric.model import (BLOCK_ROWS, _forward_cache, _head_loss, forward, head_logits,
                                leaf_posterior, softmax)
 
-from conftest import random_prototype_instance
+from conftest import random_prototype_instance, triu_regularizer_loss
 
 EUC = DistanceSpec("euclidean")
 
@@ -577,3 +577,35 @@ def test_train_config_roundtrip():
     assert config.to_dict()["lambda"] == 0.5
     with pytest.raises(ValueError, match="hidden"):
         TrainConfig.from_dict({"hidden": "32"})  # not silently (3, 2)
+
+
+def stage1_loop(coords, metric_reg, config, rng, max_steps=10_000, rel_tol=1e-8):
+    """The fixed-proto stage 1 as it was before the metric-bound term, kept
+    as its oracle: a fresh PrototypeSet and a regularizer call (the disto
+    kinds in their 2-D gather form) at every step."""
+    opt = pm.make_optimizer(config.optimizer)
+    class_map = tuple(range(coords.shape[0]))
+    prev = None
+    for step in range(max_steps):
+        value, _, grads = triu_regularizer_loss(config.regularizer,
+                                                PrototypeSet(coords, class_map), metric_reg,
+                                                config.distance, rng, config.triplet_count)
+        opt.step({"proto": coords}, {"proto": grads})
+        assert np.all(np.isfinite(coords))
+        if prev is not None and abs(prev - value) < rel_tol * max(1.0, abs(prev)):
+            break
+        prev = value
+    return coords
+
+
+@pytest.mark.parametrize("regularizer", ["disto", "disto-fixed-scale", "rank"])
+@pytest.mark.parametrize("distance", [EUC, DistanceSpec("huber", delta=0.5)])
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-3])  # runs to the cap, stops early
+def test_stage1_equals_its_loop(regularizer, distance, rel_tol):
+    pi, metric = random_prototype_instance(9, 3, np.random.default_rng(3))
+    config = TrainConfig(m=3, regularizer=regularizer, distance=distance,
+                         schedule="fixed-proto", optimizer=pm.OptimizerSpec(lr=0.01))
+    got = model_module._fit_prototypes_alone(pi.coords.copy(), metric, config,
+                                             np.random.default_rng(1), 300, rel_tol)
+    want = stage1_loop(pi.coords.copy(), metric, config, np.random.default_rng(1), 300, rel_tol)
+    np.testing.assert_array_equal(got, want)

@@ -1,4 +1,5 @@
 import importlib
+import json
 import re
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import protometric as pm
 from protometric import TaxonomyError
 
-from conftest import TOY_EDGE_LIST, bfs_tree_distances, random_taxonomy
+from conftest import TOY_EDGE_LIST, bfs_tree_distances, random_taxonomy, random_tree_text
 
 
 class TestParseEdgeList:
@@ -174,6 +175,63 @@ class TestCostMatrix:
                 total += tax.nodes[cur].weight
                 cur = tax.nodes[cur].parent
             assert metric.costs[leaf, root] == pytest.approx(total, rel=1e-12)
+
+
+def block_write_cost_matrix(tax, nodes):
+    """cost_matrix as it was before its slice form, kept as its oracle: each
+    node's depth written over its (descendants x descendants) block by an
+    np.ix_ write in root-first order, the rows in document order throughout."""
+    selected = list(tax.leaf_ids) if nodes == "leaves-only" else list(range(tax.n_nodes))
+    pos = {node_id: p for p, node_id in enumerate(selected)}
+    members = [[] for _ in range(tax.n_nodes)]
+    for i in reversed(tax.root_first):
+        if i in pos:
+            members[i].append(pos[i])
+        for child in tax.children(i):
+            members[i].extend(members[child])
+    K = len(selected)
+    lca_depth = np.zeros((K, K))
+    for i in tax.root_first:
+        block = members[i]
+        if len(block) > 1 or (block and i in pos):
+            lca_depth[np.ix_(block, block)] = tax.depth[i]
+    sel_depth = tax.depth[selected]
+    D = sel_depth[:, None] + sel_depth[None, :] - 2.0 * lca_depth
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def json_tree_text(tax, rng):
+    """The json-tree text of `tax` with each node's children shuffled."""
+    def node(i):
+        obj = {"name": tax.nodes[i].name}
+        if tax.nodes[i].parent is not None:
+            obj["weight"] = tax.nodes[i].weight
+        children = list(tax.children(i))
+        rng.shuffle(children)
+        if children:
+            obj["children"] = [node(c) for c in children]
+        return obj
+    return json.dumps(node(tax.root_first[0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.booleans(),
+       st.sampled_from(["edge-list", "json-tree"]))
+def test_cost_matrix_slices_equal_block_writes(seed, n_nodes, weighted, fmt):
+    # edge lists in shuffled line order number the nodes out of tree order;
+    # json trees number them in preorder, with the children shuffled
+    rng = np.random.default_rng(seed)
+    lines = random_tree_text(n_nodes, rng, weighted).splitlines()
+    rng.shuffle(lines)
+    tax = pm.parse_taxonomy("\n".join(lines) + "\n")
+    if fmt == "json-tree":
+        tax = pm.parse_taxonomy(json_tree_text(tax, rng), format="json-tree")
+    for nodes in ("leaves-only", "all-nodes"):
+        if nodes == "leaves-only" and len(tax.leaf_ids) < 2:
+            continue
+        np.testing.assert_array_equal(pm.cost_matrix(tax, nodes).costs,
+                                      block_write_cost_matrix(tax, nodes))
 
 
 def row_loop_validate_metric(D, tol=0.0):
