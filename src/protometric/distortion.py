@@ -96,6 +96,8 @@ class TripletBatch:
             raise ValueError("triplets must be an (S, 3) array")
         if t.shape[0] == 0:
             raise ValueError("empty triplet batch")
+        if (t < 0).any():
+            raise ValueError("triplet indices must be >= 0")
         if (t[:, 0] == t[:, 1]).any() or (t[:, 1] == t[:, 2]).any() or (t[:, 0] == t[:, 2]).any():
             raise ValueError("triples must have pairwise-distinct members")
         t.setflags(write=False)
@@ -333,6 +335,23 @@ def rank_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
     return value, grads
 
 
+def _self_rank_loss(coords: np.ndarray, spec: DistanceSpec):
+    """`rank_loss` of the triples (k, l, k), with gradients: each prototype
+    ranks itself nearest, as D[k,k] = 0 < D[k,l], so a pair's term is
+    softplus(-d_kl), the Rbar = 1 branch at gap d_kl. Value is the mean
+    over the pairs.
+
+    No triple of distinct members holds the cheapest pairs apart, so
+    `rank_loss` alone, run to convergence, puts sibling prototypes on one
+    point; a prototype-only "rank" fit adds this term.
+    """
+    _, _, upper, _ = _upper_pairs(coords.shape[0])
+    sq = geometry.pairwise_sqnorms(coords, coords).take(upper)
+    e = np.exp(-dist_from_sqnorm(spec, sq))  # d >= 0: softplus(-d) = log1p(e)
+    w = -e / (1.0 + e) / e.size * grad_weight_from_sqnorm(spec, sq)
+    return float(np.mean(np.log1p(e))), _pair_gradient(coords, w)
+
+
 def regularizer_loss(kind: str, pi: PrototypeSet, metric: FiniteMetric,
                      spec: DistanceSpec, rng: np.random.Generator | None = None,
                      triplet_count: int = 10, exhaustive: bool = False):
@@ -350,26 +369,6 @@ def regularizer_loss(kind: str, pi: PrototypeSet, metric: FiniteMetric,
     if kind not in ("disto", "disto-fixed-scale"):
         raise ValueError(f"unknown regularizer '{kind}'")
     return disto_loss(pi, metric, spec, fixed_scale=kind == "disto-fixed-scale")
-
-
-def _regularizer_term(kind: str, start: PrototypeSet, metric: FiniteMetric,
-                      spec: DistanceSpec, rng: np.random.Generator | None = None,
-                      triplet_count: int = 10, exhaustive: bool = False):
-    """`regularizer_loss` bound once for the coordinates of prototype sets
-    shaped like `start`: coords -> (value, s, grads), the same bits.
-
-    The disto kinds build no PrototypeSet per call and do their metric-only
-    work here; "rank" wraps each call's coordinates in a set as before.
-    """
-    if start.size != metric.size:
-        raise ValueError(f"prototype count {start.size} does not match metric size "
-                         f"{metric.size}")
-    if kind == "rank":
-        return lambda coords: regularizer_loss(kind, start.with_coords(coords), metric, spec,
-                                               rng, triplet_count, exhaustive)
-    if kind not in ("disto", "disto-fixed-scale"):
-        raise ValueError(f"unknown regularizer '{kind}'")
-    return _disto_terms(metric, spec, fixed_scale=kind == "disto-fixed-scale")
 
 
 def distortion_report(pi: PrototypeSet, metric: FiniteMetric,
@@ -537,22 +536,39 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
 
 
 def fit_prototypes(metric: FiniteMetric, spec: DistanceSpec, regularizer: str,
-                   rng: np.random.Generator, coords: np.ndarray, steps: int, lr: float,
-                   triplets: int = 10) -> np.ndarray:
+                   rng: np.random.Generator, coords: np.ndarray, steps: int = 3000,
+                   lr: float = 0.05, triplets: int = 10) -> np.ndarray:
     """Fit prototypes to the cost metric alone; returns the (K, m) coordinates.
 
     Adam takes `steps` full-batch steps on the regularizer ("disto",
     "disto-fixed-scale" or "rank") from `coords`, which is left as it is,
     with its learning rate decayed linearly from `lr` towards 0 for a tight
     fit. "rank" draws `triplets` triples per step from `rng`, or takes all
-    of them when K(K-1)(K-2) <= 2000. A Euclidean "disto" fit ends with the
+    of them when K(K-1)(K-2) <= 2000, and adds `_self_rank_loss`, which
+    keeps sibling prototypes apart. A Euclidean "disto" fit ends with the
     `lm_refine` polish. Raises TrainingDivergedError, naming the step, once
     a coordinate stops being finite.
+
+    The defaults are `embed`'s; the `fixed-proto` schedule's first stage
+    runs with them. The disto kinds are bound to the metric once
+    (`_disto_terms`); "rank" wraps each step's coordinates in a set.
     """
     start = PrototypeSet(coords, tuple(range(len(coords))))
     K = metric.size
-    loss = _regularizer_term(regularizer, start, metric, spec, rng, triplets,
-                             exhaustive=K * (K - 1) * (K - 2) <= 2000)
+    if start.size != K:
+        raise ValueError(f"prototype count {start.size} does not match metric size {K}")
+    if regularizer == "rank":
+        exhaustive = K * (K - 1) * (K - 2) <= 2000
+
+        def loss(c):
+            value, _, grads = regularizer_loss(regularizer, start.with_coords(c), metric, spec,
+                                               rng, triplets, exhaustive)
+            self_value, self_grads = _self_rank_loss(c, spec)
+            return value + self_value, None, grads + self_grads
+    elif regularizer in ("disto", "disto-fixed-scale"):
+        loss = _disto_terms(metric, spec, fixed_scale=regularizer == "disto-fixed-scale")
+    else:
+        raise ValueError(f"unknown regularizer '{regularizer}'")
     coords = np.array(start.coords)
     opt = make_optimizer(OptimizerSpec(lr=lr))
     for step in range(steps):

@@ -29,6 +29,17 @@ from .taxonomy import FiniteMetric, Taxonomy
 SCHEMES = ("max-prob", "min-ec", "any-node")
 
 
+def _embedding(e, m: int, what: str, against: str) -> np.ndarray:
+    """`e` as a float vector, which must have shape (m,) and be finite."""
+    e = np.asarray(e, dtype=np.float64)
+    if e.shape != (m,):
+        raise ValueError(f"{what} dimension {e.shape} does not match {against} "
+                         f"dimension ({m},)")
+    if not np.all(np.isfinite(e)):
+        raise ValueError(f"{what} coordinates must be finite")
+    return e
+
+
 class PrototypeIndex:
     """Exact nearest-neighbour lookup over a snapshot of prototype rows.
 
@@ -46,17 +57,14 @@ class PrototypeIndex:
 
     def query(self, x) -> tuple[int, float]:
         """(index, Euclidean distance) of the exact nearest prototype."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.coords.shape[1],):
-            raise ValueError(f"query dimension {x.shape} does not match index "
-                             f"dimension ({self.coords.shape[1]},)")
+        x = _embedding(x, self.coords.shape[1], "query", "index")
         sq = geometry.pairwise_sqnorms(x[None, :], self.coords)[0]
         idx = int(np.argmin(sq))  # argmin takes the first (lowest) index on ties
         return idx, float(np.sqrt(sq[idx]))
 
     def query_exhaustive(self, x) -> tuple[int, float]:
         """Linear-scan reference with the same tie rule."""
-        x = np.asarray(x, dtype=np.float64)
+        x = _embedding(x, self.coords.shape[1], "query", "index")
         diffs = self.coords - x
         sq = np.einsum("ij,ij->i", diffs, diffs)
         idx = int(np.argmin(sq))  # argmin takes the first (lowest) index on ties
@@ -139,10 +147,7 @@ class Prediction:
 def _predict_one(e, pi: PrototypeSet, spec: DistanceSpec,
                  costs: np.ndarray | None, scheme: str):
     """(index, posterior, EC) of one embedding through the batch code."""
-    e = np.asarray(e, dtype=np.float64)
-    if e.shape != (pi.dim,):
-        raise ValueError(f"embedding dimension {e.shape} does not match "
-                         f"prototype dimension ({pi.dim},)")
+    e = _embedding(e, pi.dim, "embedding", "prototype")
     P = model.posterior(e[None, :], pi.coords, spec)
     preds, ec = _decide(P, costs, scheme)
     return int(preds[0]), P[0], None if ec is None else ec[0]

@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .data import Dataset
-from .distortion import PrototypeSet, _regularizer_term, regularizer_loss
+from .distortion import PrototypeSet, fit_prototypes, regularizer_loss
 from .formats import Record, csv_text, json_text, parse_json
 from .geometry import (DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract,
                        pairwise_sqnorms)
@@ -435,25 +435,6 @@ def leaf_posterior(model: EmbeddingModel, X, proto_leaf: np.ndarray | None,
     return np.concatenate(blocks)
 
 
-def _fit_prototypes_alone(coords, metric_reg, config, rng, max_steps=10_000,
-                          rel_tol=1e-8):
-    """Stage 1 of the fixed-proto schedule: minimize the regularizer only."""
-    opt = make_optimizer(config.optimizer)
-    loss = _regularizer_term(config.regularizer, PrototypeSet(coords, tuple(range(len(coords)))),
-                             metric_reg, config.distance, rng, config.triplet_count)
-    prev = None
-    for step in range(max_steps):
-        value, _, grads = loss(coords)
-        opt.step({"proto": coords}, {"proto": grads})
-        if not np.all(np.isfinite(coords)):
-            raise TrainingDivergedError(f"non-finite prototypes at stage-1 step {step + 1} "
-                                        f"(lr={config.optimizer.lr})")
-        if prev is not None and abs(prev - value) < rel_tol * max(1.0, abs(prev)):
-            break
-        prev = value
-    return coords
-
-
 def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
           config: TrainConfig, rng: np.random.Generator) -> TrainResult:
     """Minibatch training of the embedding model and classifier.
@@ -461,7 +442,9 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
     `metric` must be the leaves-only cost matrix of `tax` (used for the
     train-AC log, for soft-label targets, and as the regularizer metric
     when internal-node prototypes are off). Deterministic for a fixed rng
-    state and single-threaded execution.
+    state and single-threaded execution. The fixed-proto schedule first
+    fits the prototypes to the regularizer alone, by `fit_prototypes` at its
+    own defaults rather than `config.optimizer`, and then freezes them.
     """
     if dataset.class_names != tax.leaf_names:
         raise ValueError("dataset classes do not match taxonomy leaves")
@@ -485,7 +468,8 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
         if config.schedule == "joint":
             params["proto"] = proto
         elif config.lam > 0 and config.regularizer != "none":
-            proto = _fit_prototypes_alone(proto, metric_reg, config, rng)
+            proto = fit_prototypes(metric_reg, config.distance, config.regularizer, rng, proto,
+                                   triplets=config.triplet_count)
 
         def step(Xb, zb):
             pi = PrototypeSet(proto, class_map, config.include_internal_prototypes)

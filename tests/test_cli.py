@@ -1,4 +1,6 @@
+import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -10,8 +12,9 @@ import numpy as np
 import pytest
 
 import protometric as pm
+from protometric import cli, geometry, inference
 from protometric.cli import RunConfig, main
-from protometric.model import head_logits
+from protometric.model import HEADS, REGULARIZERS, head_logits
 
 from conftest import TOY_EDGE_LIST
 
@@ -576,3 +579,20 @@ def test_output_root_env(tmp_path, monkeypatch, toy_tax_file):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["train", str(cfg_path)]) == 0
     assert os.path.isdir(str(tmp_path / "root" / "myrun"))
+
+
+def test_parser_spells_out_the_library_choices():
+    # the parser runs before numpy loads, so it repeats these as literals
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+
+    def option(command, dest):
+        return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+    assert tuple(option("train", "regularizer").choices) == REGULARIZERS
+    assert tuple(option("train", "head").choices) == HEADS
+    assert tuple(option("embed", "distance").choices) == geometry._KINDS
+    assert cli.SCHEMES == inference.SCHEMES
+    fit = inspect.signature(pm.fit_prototypes).parameters
+    for name in ("steps", "lr", "triplets"):
+        assert option("embed", name).default == fit[name].default, name

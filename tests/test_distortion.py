@@ -13,8 +13,8 @@ from scipy.optimize import minimize_scalar
 import protometric as pm
 from protometric import DegeneratePrototypesError, DistanceSpec, FiniteMetric, PrototypeSet
 from protometric.distortion import (LM_MIN_DECREASE, _disto_terms, _jtj_blocks, _jtj_product,
-                                    _project_off_rigid_motions, _upper_pairs, l2_scale,
-                                    lm_refine, regularizer_loss)
+                                    _project_off_rigid_motions, _self_rank_loss, _upper_pairs,
+                                    l2_scale, lm_refine, regularizer_loss)
 from protometric.geometry import TAU, dist_from_sqnorm, grad_weight_from_sqnorm
 
 from conftest import (grid_search_scale, one_shot_sqnorms, pairwise_distances,
@@ -379,7 +379,7 @@ class TestBoundDistoTerm:
 def embed_loop(metric, spec, regularizer, rng, coords, steps, lr, triplets=10):
     """`embed`'s fit as it was before `fit_prototypes`, kept as its oracle: a
     fresh PrototypeSet and a regularizer call (the disto kinds in their 2-D
-    gather form) at every step."""
+    gather form, "rank" plus `_self_rank_loss`) at every step."""
     K = metric.size
     class_map = tuple(range(K))
     exhaustive = K * (K - 1) * (K - 2) <= 2000
@@ -388,6 +388,8 @@ def embed_loop(metric, spec, regularizer, rng, coords, steps, lr, triplets=10):
         opt.lr = lr * (1.0 - step / steps)
         _, _, grads = triu_regularizer_loss(regularizer, PrototypeSet(coords, class_map),
                                             metric, spec, rng, triplets, exhaustive)
+        if regularizer == "rank":
+            grads = grads + _self_rank_loss(coords, spec)[1]
         opt.step({"proto": coords}, {"proto": grads})
         if not np.all(np.isfinite(coords)):
             raise pm.TrainingDivergedError(f"non-finite prototypes at step {step + 1}")
@@ -438,6 +440,21 @@ class TestFitPrototypes:
         for seed in (0, 1):
             got, want = self._both(metric, EUC, "rank", seed, 2, steps=40)
             np.testing.assert_array_equal(got, want)
+
+    def test_rank_keeps_siblings_apart(self):
+        # no triple of distinct classes holds a sibling pair apart: without
+        # the self triples the fit puts each pair of sibling leaves on one point
+        tax = pm.parse_taxonomy("".join(f"{c}\t{p}\n" for p, kids in (
+            ("root", "AB"), ("A", ("A1", "A2")), ("B", ("B1", "B2")), ("A1", "ab"),
+            ("A2", "cd"), ("B1", "ef"), ("B2", "gh")) for c in kids))
+        metric = pm.cost_matrix(tax)
+        iu, ju = np.triu_indices(metric.size, k=1)
+        sibling = metric.costs[iu, ju] == metric.costs[iu, ju].min()
+        for seed in (0, 1):
+            rng, start = self._start(seed, metric.size, 16)
+            coords = pm.fit_prototypes(metric, EUC, "rank", rng, start, steps=1000)
+            d = pairwise_distances(EUC, coords, coords)[iu, ju]
+            assert d[sibling].min() > 0.25 * d[~sibling].min()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_step(self):
@@ -523,6 +540,21 @@ class TestRankLoss:
         expected = np.log1p(np.exp(gap))  # softplus(gap), the Rbar = 0 branch
         assert value == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("spec", [EUC, DistanceSpec("squared-euclidean"),
+                                      DistanceSpec("huber", delta=0.3)])
+    def test_self_triples(self, spec):
+        # the triples (k, l, k): hard ranking 1 (D[k,l] > D[k,k] = 0), gap d_kl
+        coords = np.random.default_rng(11).standard_normal((6, 3))
+        d = pairwise_distances(spec, coords, coords)[~np.eye(6, dtype=bool)]
+        value, _ = _self_rank_loss(coords, spec)
+        assert value == pytest.approx(np.mean(np.log1p(np.exp(-d))), rel=1e-12)
+
+        def evaluate(flat):
+            value, grads = _self_rank_loss(flat.reshape(6, 3), spec)
+            return value, grads.ravel()
+
+        assert pm.finite_difference_check(evaluate, coords.ravel()) < 1e-4
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
         pi, metric = random_prototype_instance(6, 3, rng)
@@ -553,6 +585,12 @@ class TestRankLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             pm.TripletBatch(np.zeros((0, 3), dtype=int))
+
+    def test_negative_index_rejected(self):
+        # -1 would read as class K-1: on 3 classes the same loss as (0, 1, 2)
+        for row in ([0, 1, -1], [-3, 1, 2]):
+            with pytest.raises(ValueError, match="triplet indices must be >= 0"):
+                pm.TripletBatch(np.array([row]))
 
 
 class TestPermutationEquivariance:

@@ -65,8 +65,9 @@ class TestPrototypeIndex:
 
     def test_query_dimension_checked(self):
         index = pm.PrototypeIndex(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="dimension"):
-            index.query(np.zeros(2))
+        for query in (index.query, index.query_exhaustive):
+            with pytest.raises(ValueError, match="dimension"):
+                query(np.zeros(2))
 
     def test_build_index_from_prototype_set(self):
         rng = np.random.default_rng(3)
@@ -303,3 +304,18 @@ def test_batch_predict_matches_single_sample_functions(scheme):
 def test_top3_is_the_stable_sort_prefix(P):
     # a grid full of ties: the lowest index wins each, as in the stable sort
     np.testing.assert_array_equal(top3(P), np.argsort(-P, axis=1, kind="stable")[:, :3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_embedding_rejected(toy_tax, bad):
+    # a NaN distance would otherwise pass argmin and argmax as index 0
+    pi = PrototypeSet(np.eye(3), toy_tax.leaf_ids)
+    index = pm.build_index(pi)
+    metric, metric_all = pm.cost_matrix(toy_tax), pm.cost_matrix(toy_tax, "all-nodes")
+    e = np.array([bad, 0.0, 0.0])
+    for entry in (index.query, index.query_exhaustive,
+                  lambda x: pm.predict_max_prob(x, index, pi, EUC),
+                  lambda x: pm.predict_min_expected_cost(x, pi, EUC, metric),
+                  lambda x: pm.predict_any_node(x, pi, EUC, metric_all, toy_tax)):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            entry(e)

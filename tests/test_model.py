@@ -11,7 +11,7 @@ from protometric import model as model_module
 from protometric.model import (BLOCK_ROWS, _forward_cache, _head_loss, forward, head_logits,
                                leaf_posterior, softmax)
 
-from conftest import random_prototype_instance, triu_regularizer_loss
+from conftest import random_prototype_instance
 
 EUC = DistanceSpec("euclidean")
 
@@ -464,16 +464,17 @@ class TestTrain:
                                            rng=np.random.default_rng(4))
         metric = pm.cost_matrix(toy_tax)
         # squared distances overflow after one step of lr 1e300; the
-        # fixed-proto schedule diverges in stage 1, the prototype-only fit
-        for schedule, where in (("joint", "loss at epoch 1"),
-                                ("fixed-proto", "prototypes at stage-1 step 2")):
+        # fixed-proto schedule's stage 1 fits at its own lr and does not
+        # diverge, its first epoch does (stage 1's own divergence is
+        # TestFitPrototypes.test_divergence_names_the_step)
+        for schedule in ("joint", "fixed-proto"):
             for kind in ("adam", "sgd"):
                 config = TrainConfig(m=2, architecture="mlp", hidden=(8,), epochs=20,
                                      batch_size=16, schedule=schedule,
                                      distance=DistanceSpec("squared-euclidean"),
                                      optimizer=pm.OptimizerSpec(kind, lr=1e300))
                 with pytest.raises(TrainingDivergedError,
-                                   match=rf"non-finite {where} \(lr=1e\+300\)"):
+                                   match=r"non-finite loss at epoch 1 \(lr=1e\+300\)"):
                     pm.train(ds, toy_tax, metric, config, np.random.default_rng(0))
 
     def test_fixed_proto_schedule_freezes_prototypes(self):
@@ -579,33 +580,29 @@ def test_train_config_roundtrip():
         TrainConfig.from_dict({"hidden": "32"})  # not silently (3, 2)
 
 
-def stage1_loop(coords, metric_reg, config, rng, max_steps=10_000, rel_tol=1e-8):
-    """The fixed-proto stage 1 as it was before the metric-bound term, kept
-    as its oracle: a fresh PrototypeSet and a regularizer call (the disto
-    kinds in their 2-D gather form) at every step."""
-    opt = pm.make_optimizer(config.optimizer)
-    class_map = tuple(range(coords.shape[0]))
-    prev = None
-    for step in range(max_steps):
-        value, _, grads = triu_regularizer_loss(config.regularizer,
-                                                PrototypeSet(coords, class_map), metric_reg,
-                                                config.distance, rng, config.triplet_count)
-        opt.step({"proto": coords}, {"proto": grads})
-        assert np.all(np.isfinite(coords))
-        if prev is not None and abs(prev - value) < rel_tol * max(1.0, abs(prev)):
-            break
-        prev = value
-    return coords
+# a binary tree of 15 nodes, 8 leaves: stage 1 takes every rank triple on
+# the leaves (336 <= 2000) and samples them from train's rng on all nodes
+STAGE1_TREE = pm.parse_taxonomy(
+    "A\troot\nB\troot\nA1\tA\nA2\tA\nB1\tB\nB2\tB\n"
+    "a1x\tA1\na1y\tA1\na2x\tA2\na2y\tA2\nb1x\tB1\nb1y\tB1\nb2x\tB2\nb2y\tB2\n")
 
 
 @pytest.mark.parametrize("regularizer", ["disto", "disto-fixed-scale", "rank"])
-@pytest.mark.parametrize("distance", [EUC, DistanceSpec("huber", delta=0.5)])
-@pytest.mark.parametrize("rel_tol", [1e-8, 1e-3])  # runs to the cap, stops early
-def test_stage1_equals_its_loop(regularizer, distance, rel_tol):
-    pi, metric = random_prototype_instance(9, 3, np.random.default_rng(3))
-    config = TrainConfig(m=3, regularizer=regularizer, distance=distance,
-                         schedule="fixed-proto", optimizer=pm.OptimizerSpec(lr=0.01))
-    got = model_module._fit_prototypes_alone(pi.coords.copy(), metric, config,
-                                             np.random.default_rng(1), 300, rel_tol)
-    want = stage1_loop(pi.coords.copy(), metric, config, np.random.default_rng(1), 300, rel_tol)
+@pytest.mark.parametrize("internal", [False, True])
+def test_stage1_is_fit_prototypes(regularizer, internal):
+    tax = STAGE1_TREE
+    metric = pm.cost_matrix(tax)
+    ds = pm.gen_hierarchical_gaussians(tax, per_class=2, dims=3, rng=np.random.default_rng(7))
+    config = TrainConfig(m=3, architecture="linear", hidden=(), epochs=1, batch_size=8,
+                         regularizer=regularizer, include_internal_prototypes=internal,
+                         schedule="fixed-proto", triplet_count=4,
+                         optimizer=pm.OptimizerSpec("sgd", lr=0.5))  # stage 1 ignores it
+    got = pm.train(ds, tax, metric, config, np.random.default_rng(1)).prototypes.coords
+    # train's draws before stage 1: the model's weights, then the start
+    rng = np.random.default_rng(1)
+    pm.init_embedding_model("linear", 3, 3, rng=rng)
+    metric_reg = pm.cost_matrix(tax, "all-nodes") if internal else metric
+    start = rng.standard_normal((metric_reg.size, 3))
+    want = pm.fit_prototypes(metric_reg, config.distance, regularizer, rng, start,
+                             triplets=config.triplet_count)
     np.testing.assert_array_equal(got, want)
