@@ -309,9 +309,10 @@ def diff_trees(a: str, b: str) -> int:
         dev = DEVIATIONS[kind](text_a, text_b)
         verdict = "within" if dev <= bound else "beyond"
         line = f"{verdict} tolerance: {name} ({kind} deviation {dev:.3g}, bound {bound:g})"
-        print(line)
         if dev > bound:
             drift.append(line)
+        else:
+            print(line)
     print(f"{len(files_a | files_b)} files, {same} byte-identical")
     for line in drift:
         print(line)

@@ -400,71 +400,23 @@ def _jtj_product(coords: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray
     return pair_contract(W * M, coords, coords)
 
 
-def _jtj_blocks(coords: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The (K, m, m) diagonal blocks of J^T J: block k is
-    sum_l W[k, l] (c_k - c_l)(c_k - c_l)^T, its sum_l W c_l c_l^T term
-    from one GEMM."""
-    K, m = coords.shape
-    WC = W @ coords
-    outer = coords[:, :, None] * coords[:, None, :]
-    blocks = (W @ outer.reshape(K, m * m)).reshape(K, m, m)
-    blocks += W.sum(axis=1)[:, None, None] * outer
-    blocks -= coords[:, :, None] * WC[:, None, :] + WC[:, :, None] * coords[:, None, :]
-    return blocks
-
-
-def _project_off_rigid_motions(coords: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """`delta` less its least-squares part along the translations and the
-    rotations about the centroid of `coords`, which change no distance.
-
-    With C the centred coords, S = C^T C = Q diag(s) Q^T and B = Q^T (C^T
-    delta - delta^T C) Q, the rotation generator closest to delta is C A
-    with A = Q (B_ij / (s_i + s_j)) Q^T; the planes with s_i + s_j at most
-    2e-10 max(s) move no point and are left out.
-    """
-    delta = delta - delta.mean(axis=0)
-    C = coords - coords.mean(axis=0)
-    s, Q = np.linalg.eigh(C.T @ C)
-    X = C.T @ delta
-    B = Q.T @ (X - X.T) @ Q
-    pair = s[:, None] + s[None, :]
-    keep = pair > 2e-10 * s[-1]
-    B = np.divide(B, pair, out=np.zeros_like(B), where=keep)
-    return delta - C @ (Q @ B @ Q.T)
-
-
-def _cg_step(coords: np.ndarray, W: np.ndarray, g: np.ndarray, lam: float,
-             blocks: np.ndarray) -> np.ndarray:
+def _cg_step(coords: np.ndarray, W: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
     """Solve (J^T J + lam I) delta = -g by conjugate gradients until the
-    residual falls to LM_CG_TOL |g|, or for at most K*m iterations.
-
-    Each row of the residual is preconditioned by the inverse of its block
-    of J^T J plus lam I, and plus 1e-12 of the block's trace, which keeps
-    the inverse off an exact zero pivot where lam is lost to rounding.
-    """
-    m = g.shape[1]
-    floor = lam + 1e-12 * np.trace(blocks, axis1=1, axis2=2)
-    inv = np.linalg.inv(blocks + floor[:, None, None] * np.eye(m))
-
-    def precondition(R):
-        return np.einsum("kij,kj->ki", inv, R)
-
+    residual falls to LM_CG_TOL |g|, or for at most K*m iterations."""
     delta = np.zeros_like(g)
     R = -g
-    Z = precondition(R)
-    P = Z
-    rz = float(np.vdot(R, Z))
+    P = R
+    rr = float(np.vdot(R, R))
     stop = LM_CG_TOL * float(np.linalg.norm(g))
     for _ in range(g.size):
         AP = _jtj_product(coords, W, P) + lam * P
-        alpha = rz / float(np.vdot(P, AP))
+        alpha = rr / float(np.vdot(P, AP))
         delta = delta + alpha * P
         R = R - alpha * AP
-        if float(np.linalg.norm(R)) <= stop:
+        rr, rr_old = float(np.vdot(R, R)), rr
+        if np.sqrt(rr) <= stop:
             break
-        Z = precondition(R)
-        rz, rz_old = float(np.vdot(R, Z)), rz
-        P = Z + (rz / rz_old) * P
+        P = R + (rr / rr_old) * P
     return delta
 
 
@@ -475,17 +427,19 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
     the starting set folded into the targets; first-order steps stall in the
     flat valleys of exactly-embeddable metrics, LM does not.
 
-    Each step solves (J^T J + lam I) delta = -g, g = J^T r, by conjugate
-    gradients that never form J^T J (Steihaug 1983's truncated Newton step):
-    with a = (c_k - c_l) / (d D) the row of pair (k, l), J^T J v takes two
-    K x K products (`_jtj_product`), and the preconditioner is the m x m
-    diagonal blocks of J^T J plus lam I (`_jtj_blocks`). CG stops once its
-    residual is below LM_CG_TOL times |g|, or after K*m iterations. The
-    step is then projected off the rigid motions (translations and
-    rotations), which J^T J leaves undamped but for lam: otherwise rounding
-    in g moves the result along them. Memory is O(K^2 + K m^2) and a CG
-    iteration O(K^2 m). g is the pair gradient of the weights r / (d D), 0
-    on a coincident pair, as is every J^T J weight there.
+    Each step solves (J^T J + lam I) delta = -g, g = J^T r, by plain
+    conjugate gradients (Hestenes & Stiefel 1952) that never form J^T J
+    (Steihaug 1983's truncated Newton step): with a = (c_k - c_l) / (d D)
+    the row of pair (k, l), J^T J v takes two K x K products
+    (`_jtj_product`). CG stops once its residual is below LM_CG_TOL times
+    |g|, or after K*m iterations. Its iterates stay in the Krylov space of
+    g under J^T J, which lies in range(J^T) and so is orthogonal to every
+    rigid motion (translation or rotation): J^T J leaves those undamped but
+    for lam, and the step does not move along them. Memory is O(K^2 + K m)
+    beside the objective's pair differences, which `pair_sqnorms` takes a
+    block at a time, and a CG iteration costs O(K^2 m). g is the pair
+    gradient of the weights r / (d D), 0 on a coincident pair, as is every
+    J^T J weight there.
 
     The polish stops after `iters` steps, when g is 0 or no damping gives a
     descent, when the objective falls below 1e-30, or when an accepted step
@@ -497,7 +451,10 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
     embeddable metric the quadratic convergence never trips the rule.
     """
     K = pi.size
-    _, _, t, iu, ju = _pair_data(pi, metric, DistanceSpec())
+    if metric.size != K:
+        raise ValueError(f"prototype count {K} does not match metric size {metric.size}")
+    iu, ju, upper, _ = _upper_pairs(K)
+    t = _pair_costs(metric, upper)
 
     def loss(c):
         d = np.sqrt(geometry.pair_sqnorms(c, c, iu, ju))
@@ -517,11 +474,9 @@ def lm_refine(pi: PrototypeSet, metric: FiniteMetric, iters: int = 200) -> Proto
             break
         W = _pair_matrix(np.divide(1.0, dt * dt, out=np.zeros_like(dt), where=d > 0),
                          np.zeros((K, K)))
-        blocks = _jtj_blocks(coords, W)
         accepted = False
         while lam <= 1e14:
-            delta = _project_off_rigid_motions(coords, _cg_step(coords, W, g, lam, blocks))
-            cand = coords + delta
+            cand = coords + _cg_step(coords, W, g, lam)
             v2, r2, d2 = loss(cand)
             if v2 < val:
                 stalled = val - v2 < LM_MIN_DECREASE * val
@@ -547,7 +502,8 @@ def fit_prototypes(metric: FiniteMetric, spec: DistanceSpec, regularizer: str,
     of them when K(K-1)(K-2) <= 2000, and adds `_self_rank_loss`, which
     keeps sibling prototypes apart. A Euclidean "disto" fit ends with the
     `lm_refine` polish. Raises TrainingDivergedError, naming the step, once
-    a coordinate stops being finite.
+    a coordinate stops being finite, or when the last step leaves a
+    distance that is not.
 
     The defaults are `embed`'s; the `fixed-proto` schedule's first stage
     runs with them. The disto kinds are bound to the metric once
@@ -577,6 +533,11 @@ def fit_prototypes(metric: FiniteMetric, spec: DistanceSpec, regularizer: str,
         opt.step({"proto": coords}, {"proto": grads})
         if not np.all(np.isfinite(coords)):
             raise TrainingDivergedError(f"non-finite prototypes at step {step + 1}")
+    # the loop sees overflowing distances only through the next step's
+    # gradient; the last step's are checked here, without evaluating the
+    # loss, which for "rank" would draw from rng
+    if not np.all(np.isfinite(geometry.pairwise_sqnorms(coords, coords))):
+        raise TrainingDivergedError(f"non-finite prototype distances at step {steps}")
     del loss  # frees the bound term's K x K buffer before the polish allocates its own
     if regularizer == "disto" and spec.kind == EUCLIDEAN:
         return lm_refine(start.with_coords(coords), metric).coords

@@ -144,9 +144,11 @@ class TestCmdEmbed:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
 
-    def test_diverging_fit_exits_1_with_one_line(self, tmp_path, four_leaf_file):
+    @pytest.mark.parametrize("steps", ["1", "20"])
+    def test_diverging_fit_exits_1_with_one_line(self, tmp_path, four_leaf_file, steps):
+        # --steps 1 leaves finite coordinates whose distances overflow
         out = tmp_path / "embed"
-        code, err = run_process("embed", four_leaf_file, "--lr", "1e300", "--steps", "20",
+        code, err = run_process("embed", four_leaf_file, "--lr", "1e300", "--steps", steps,
                                 "--out", str(out))
         assert code == 1 and len(err) == 1, err
         assert err[0].startswith("error: ") and "step" in err[0] and "--lr" in err[0]

@@ -113,3 +113,18 @@ def test_sweep_runs_are_byte_identical(tmp_path):
     assert "beyond tolerance: infer/disto/max-prob.csv (csv deviation inf" in out.getvalue()
     assert "beyond tolerance: eval/cross-entropy/train-max-prob/eval.json" in out.getvalue()
     assert "differs:" not in out.getvalue()
+
+
+def test_sweep_diff_prints_each_drifting_file_once(tmp_path):
+    sweep = _load("sweep", "scripts", "sweep.py")
+    name = "embed/disto-euclidean-leaves-d2/distortion.json"
+    for side, sfd in (("a", 0.1), ("b", 0.2)):
+        path = tmp_path / side / name
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({"scale_free_distortion": sfd}))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert sweep.diff_trees(str(tmp_path / "a"), str(tmp_path / "b")) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "1 files, 0 byte-identical"
+    assert [line for line in lines if name in line] == [
+        f"beyond tolerance: {name} (json deviation 0.5, bound 1e-08)"]
