@@ -68,7 +68,7 @@ ARMS = {
     "tanh": ({"activation": "tanh", "hidden": [8, 8]}, {}),
     "mean-aggregate": ({}, {"aggregate": "mean", "seeds": [0, 1, 2]}),
 }
-TINY_ARMS = ("disto", "fixed-proto", "cross-entropy", "soft-labels")
+TINY_ARMS = ("disto", "fixed-proto", "fixed-proto-rank", "cross-entropy", "soft-labels")
 BIG_INFER_ARMS = ("disto", "cross-entropy")
 # train section of every arm before its overrides
 BASE_SECTION = {"lambda": 1.0, "m": 4, "architecture": "mlp", "hidden": [8], "batch_size": 16}
@@ -96,6 +96,10 @@ TOLERANCES = {
     **{f"embed/disto-{kind}-*/{name}.{ext}": (ext, 1e-10)
        for kind in ("squared-euclidean", "huber")
        for name, ext in (("distortion", "json"), ("prototypes", "csv"))},
+    # A rank embed's term takes its distances from the expansion and sums its
+    # triples' derivatives per pair in bincount order: both move the last
+    # digits of the fitted coordinates.
+    "embed/rank-*/prototypes.csv": ("csv", 1e-10),
     # The prototype head's distances come from the dot-product expansion,
     # exact only around each row's minimum, and the disto gradient's pair
     # sums round with their summation order: both move the last digits of
@@ -199,11 +203,11 @@ def run_matrix(out: str, src: str, tiny: bool) -> None:
                      "--out", f"infer/{arm}/big-{scheme}.csv")
 
     steps = "30" if tiny else "300"
-    embeds = [("disto", "euclidean", "leaves", "2")]
+    embeds = [("disto", "euclidean", "leaves", "2"), ("rank", "euclidean", "leaves", "2")]
     if not tiny:
         embeds += [("disto", "euclidean", "all", "3"), ("disto", "squared-euclidean",
                    "leaves", "2"), ("disto", "huber", "leaves", "2"),
-                   ("rank", "euclidean", "leaves", "2"), ("rank", "huber", "all", "3")]
+                   ("rank", "huber", "all", "3")]
     for reg, kind, nodes, dim in embeds:
         call("embed", "tax.tsv", "--regularizer", reg, "--distance", kind, "--nodes", nodes,
              "--dim", dim, "--steps", steps, "--seed", "1",

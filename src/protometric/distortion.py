@@ -34,6 +34,16 @@ class DegeneratePrototypesError(ArithmeticError):
     """All prototypes coincide: no scale can be fitted."""
 
 
+def _indices(values, field: str) -> np.ndarray:
+    """`values` as an intp array; a boolean or non-integer entry, which the
+    cast would turn into an index silently, raises a ValueError naming `field`."""
+    a = np.asarray(values)
+    if a.size and (a.dtype.kind not in "iu" or not isinstance(values, np.ndarray) and {
+            bool, np.bool_} & set(map(type, np.asarray(values, dtype=object).flat))):
+        raise ValueError(f"{field} must be integers, not booleans or floats")
+    return a.astype(np.intp)
+
+
 @dataclass(frozen=True)
 class PrototypeSet(Record):
     """Learnable class representatives, one row per covered taxonomy node."""
@@ -48,7 +58,7 @@ class PrototypeSet(Record):
             raise ValueError("prototype set needs a (K, m) matrix with K >= 2")
         if not np.all(np.isfinite(coords)):
             raise ValueError("prototype coordinates must be finite")
-        class_map = tuple(int(i) for i in self.class_map)
+        class_map = tuple(_indices(self.class_map, "class_map").tolist())
         if len(class_map) != coords.shape[0]:
             raise ValueError("class_map length must match prototype count")
         if len(set(class_map)) != len(class_map):
@@ -91,7 +101,7 @@ class TripletBatch:
     triplets: np.ndarray  # (S, 3) int
 
     def __post_init__(self):
-        t = np.array(self.triplets, dtype=np.intp)
+        t = _indices(self.triplets, "triplets")
         if t.ndim != 2 or t.shape[1] != 3:
             raise ValueError("triplets must be an (S, 3) array")
         if t.shape[0] == 0:
@@ -130,15 +140,12 @@ def _pair_costs(metric: FiniteMetric, upper: np.ndarray) -> np.ndarray:
 
 
 def _pair_data(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec):
-    """Unordered-pair distances and costs, plus the index arrays."""
-    K = pi.size
-    if metric.size != K:
-        raise ValueError(f"prototype count {K} does not match metric size {metric.size}")
-    iu, ju, upper, _ = _upper_pairs(K)
-    costs = _pair_costs(metric, upper)
+    """Unordered-pair distances and costs, in triu order."""
+    if metric.size != pi.size:
+        raise ValueError(f"prototype count {pi.size} does not match metric size {metric.size}")
+    _, _, upper, _ = _upper_pairs(pi.size)
     sq = geometry.pairwise_sqnorms(pi.coords, pi.coords).take(upper)
-    d = dist_from_sqnorm(spec, sq)
-    return d, sq, costs, iu, ju
+    return dist_from_sqnorm(spec, sq), _pair_costs(metric, upper)
 
 
 def _mean_relative_deviation(d: np.ndarray, costs: np.ndarray, s: float = 1.0) -> float:
@@ -151,7 +158,7 @@ def distortion(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec) -> fl
 
     Fits no scale, so unlike s* it is defined on coincident prototypes.
     """
-    d, _, costs, _, _ = _pair_data(pi, metric, spec)
+    d, costs = _pair_data(pi, metric, spec)
     return _mean_relative_deviation(d, costs)
 
 
@@ -210,35 +217,6 @@ def _pair_gradient(coords: np.ndarray, w: np.ndarray) -> np.ndarray:
     return pair_contract(W, coords, coords)
 
 
-def _disto_terms(metric: FiniteMetric, spec: DistanceSpec, fixed_scale: bool = False):
-    """`disto_loss` bound to the metric: coords -> (value, s_star, grads).
-
-    The work that does not depend on the coordinates is done here, once:
-    the pair indices, the gathered costs and their positivity check, the
-    normalizer and one K x K weight buffer, whose diagonal stays 0 and whose
-    pairs every call overwrites. A prototype-only fit calls the result at
-    every step; `coords` must have metric.size rows.
-    """
-    K = metric.size
-    _, _, upper, _ = _upper_pairs(K)
-    costs = _pair_costs(metric, upper)
-    norm = 2.0 / (K * (K - 1))
-    W = np.zeros((K, K))
-
-    def terms(coords: np.ndarray):
-        sq = geometry.pairwise_sqnorms(coords, coords).take(upper)
-        d = dist_from_sqnorm(spec, sq)
-        s = 1.0 if fixed_scale else l2_scale(d, costs)
-        resid = (s * d - costs) / costs
-        value = float(norm * np.sum(resid * resid))
-
-        dvalue_dd = norm * 2.0 * resid * s / costs
-        w = dvalue_dd * grad_weight_from_sqnorm(spec, sq)
-        return value, float(s), pair_contract(_pair_matrix(w, W), coords, coords)
-
-    return terms
-
-
 def disto_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
                fixed_scale: bool = False):
     """Smooth distortion surrogate with its optimal scale and gradients.
@@ -249,12 +227,12 @@ def disto_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
     minimizer is unique, so the partial derivative at s* is the gradient of
     the minimized objective (envelope property).
 
-    This is the per-call form of the term `_disto_terms` binds once for a
+    This is the per-call form of the term `_fit_terms` binds once for a
     prototype-only fit; both give the same bits.
     """
     if metric.size != pi.size:
         raise ValueError(f"prototype count {pi.size} does not match metric size {metric.size}")
-    return _disto_terms(metric, spec, fixed_scale)(pi.coords)
+    return _fit_terms("disto-fixed-scale" if fixed_scale else "disto", metric, spec)(pi.coords)
 
 
 def sample_triplets(K: int, S: int, rng: np.random.Generator,
@@ -281,18 +259,14 @@ def sample_triplets(K: int, S: int, rng: np.random.Generator,
     return TripletBatch(np.stack([k, l, m], axis=1))
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def _softplus(t: np.ndarray) -> np.ndarray:
-    # log(1 + exp(t)) without overflow
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+def _ranking(gap: np.ndarray, rbar: np.ndarray):
+    """Per triple, the binary cross-entropy of the soft ranking sigmoid(gap)
+    against the hard one rbar, in softplus form without overflow, and its
+    derivative sigmoid(gap) - rbar in the gap."""
+    e = np.exp(-np.abs(gap))
+    log1p = np.log1p(e)
+    value = rbar * (np.maximum(-gap, 0.0) + log1p) + (1.0 - rbar) * (np.maximum(gap, 0.0) + log1p)
+    return value, np.exp(np.minimum(gap, 0.0)) / (1.0 + e) - rbar
 
 
 def rank_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
@@ -319,11 +293,8 @@ def rank_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
     gap = dist_from_sqnorm(spec, sq_kl) - dist_from_sqnorm(spec, sq_km)
 
     rbar = (metric.costs[k, l] > metric.costs[k, m]).astype(np.float64)
-    # -[rbar*log(sig) + (1-rbar)*log(1-sig)] in softplus form
-    per_triple = rbar * _softplus(-gap) + (1.0 - rbar) * _softplus(gap)
-    value = float(per_triple.mean())
-
-    dgap = (_sigmoid(gap) - rbar) / batch.size
+    per_triple, dgap = _ranking(gap, rbar)
+    dgap = dgap / batch.size
     g_kl = (dgap * grad_weight_from_sqnorm(spec, sq_kl))[:, None] * diff_kl
     g_km = (dgap * grad_weight_from_sqnorm(spec, sq_km))[:, None] * diff_km
     # a scatter: S sampled triplets touch far fewer pairs than a dense K x K
@@ -332,39 +303,80 @@ def rank_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
     np.add.at(grads, k, g_kl - g_km)
     np.add.at(grads, l, -g_kl)
     np.add.at(grads, m, g_km)
-    return value, grads
+    return float(per_triple.mean()), grads
 
 
-def _self_rank_loss(coords: np.ndarray, spec: DistanceSpec):
-    """`rank_loss` of the triples (k, l, k), with gradients: each prototype
-    ranks itself nearest, as D[k,k] = 0 < D[k,l], so a pair's term is
-    softplus(-d_kl), the Rbar = 1 branch at gap d_kl. Value is the mean
-    over the pairs.
+def _fit_terms(kind: str, metric: FiniteMetric, spec: DistanceSpec,
+               rng: np.random.Generator | None = None, triplets: int = 10):
+    """The regularizer `kind` of a prototype-only fit bound to the metric:
+    coords -> (value, s_star, grads), s_star None for "rank".
 
-    No triple of distinct members holds the cheapest pairs apart, so
-    `rank_loss` alone, run to convergence, puts sibling prototypes on one
-    point; a prototype-only "rank" fit adds this term.
+    A call takes one distance pass, turns the pair distances into a value
+    and a derivative per unordered pair, and contracts those into the
+    gradients through one K x K buffer bound here. The disto kinds give the
+    bits of `disto_loss`. "rank" adds to `rank_loss` the mean over the self
+    triples (k, l, k), the Rbar = 1 term at gap d_kl, without which a fit
+    run to convergence puts sibling prototypes on one point. Its triples,
+    all K(K-1)(K-2) bound here when there are at most 2000, else `triplets`
+    drawn from `rng` per call, reach their pairs through one `np.bincount`.
     """
-    _, _, upper, _ = _upper_pairs(coords.shape[0])
-    sq = geometry.pairwise_sqnorms(coords, coords).take(upper)
-    e = np.exp(-dist_from_sqnorm(spec, sq))  # d >= 0: softplus(-d) = log1p(e)
-    w = -e / (1.0 + e) / e.size * grad_weight_from_sqnorm(spec, sq)
-    return float(np.mean(np.log1p(e))), _pair_gradient(coords, w)
+    K = metric.size
+    _, _, upper, _ = _upper_pairs(K)
+    P = upper.size
+    if kind == "rank":
+        if rng is None:
+            raise ValueError("rank regularizer needs an rng for triplet sampling")
+        slot = _pair_matrix(np.arange(P), np.zeros((K, K), np.intp)).reshape(-1)
+
+        def bind(t):  # the self triples go last; their (k, k) takes slot P, at distance 0
+            kl, km = t[:, 0] * K + t[:, 1], t[:, 0] * K + t[:, 2]
+            ends = np.concatenate([slot.take(kl), np.arange(P), slot.take(km), np.full(P, P)])
+            rbar = np.concatenate([metric.costs.take(kl) > metric.costs.take(km), np.ones(P)])
+            return ends, rbar, np.repeat([1.0 / len(t), 1.0 / P], [len(t), P])
+
+        exhaustive = K * (K - 1) * (K - 2) <= 2000
+        bound = bind(sample_triplets(K, triplets, rng, True).triplets) if exhaustive else None
+
+        def pair_terms(d):
+            ends, rbar, share = bound or bind(sample_triplets(K, triplets, rng).triplets)
+            ends_d = np.append(d, 0.0).take(ends)
+            value, dgap = _ranking(ends_d[:rbar.size] - ends_d[rbar.size:], rbar)
+            dgap *= share
+            dvalue_dd = np.bincount(ends, np.concatenate([dgap, -dgap]), minlength=P + 1)
+            return float(value @ share), None, dvalue_dd[:P]
+    elif kind in ("disto", "disto-fixed-scale"):
+        costs = _pair_costs(metric, upper)
+        norm = 2.0 / (K * (K - 1))
+
+        def pair_terms(d):
+            s = 1.0 if kind == "disto-fixed-scale" else l2_scale(d, costs)
+            resid = (s * d - costs) / costs
+            return float(norm * np.sum(resid * resid)), float(s), norm * 2.0 * resid * s / costs
+    else:
+        raise ValueError(f"unknown regularizer '{kind}'")
+    W = np.zeros((K, K))
+
+    def terms(coords: np.ndarray):
+        sq = geometry.pairwise_sqnorms(coords, coords).take(upper)
+        value, s, dvalue_dd = pair_terms(dist_from_sqnorm(spec, sq))
+        w = dvalue_dd * grad_weight_from_sqnorm(spec, sq)
+        return value, s, pair_contract(_pair_matrix(w, W), coords, coords)
+
+    return terms
 
 
 def regularizer_loss(kind: str, pi: PrototypeSet, metric: FiniteMetric,
                      spec: DistanceSpec, rng: np.random.Generator | None = None,
-                     triplet_count: int = 10, exhaustive: bool = False):
+                     triplet_count: int = 10):
     """Value, fitted scale (None for "rank") and gradients of one regularizer.
 
     `kind` is "disto", "disto-fixed-scale" or "rank"; "rank" draws its
-    triplets from `rng` (all of them when exhaustive).
+    `triplet_count` triplets from `rng`.
     """
     if kind == "rank":
         if rng is None:
             raise ValueError("rank regularizer needs an rng for triplet sampling")
-        batch = sample_triplets(pi.size, triplet_count, rng, exhaustive=exhaustive)
-        value, grads = rank_loss(pi, metric, spec, batch)
+        value, grads = rank_loss(pi, metric, spec, sample_triplets(pi.size, triplet_count, rng))
         return value, None, grads
     if kind not in ("disto", "disto-fixed-scale"):
         raise ValueError(f"unknown regularizer '{kind}'")
@@ -374,7 +386,7 @@ def regularizer_loss(kind: str, pi: PrototypeSet, metric: FiniteMetric,
 def distortion_report(pi: PrototypeSet, metric: FiniteMetric,
                       spec: DistanceSpec) -> DistortionReport:
     """All distortion diagnostics from one pass over the prototype pairs."""
-    d, _, costs, _, _ = _pair_data(pi, metric, spec)
+    d, costs = _pair_data(pi, metric, spec)
     s1 = _l1_scale(d / costs)
     return DistortionReport(
         distortion=_mean_relative_deviation(d, costs),
@@ -498,33 +510,20 @@ def fit_prototypes(metric: FiniteMetric, spec: DistanceSpec, regularizer: str,
     Adam takes `steps` full-batch steps on the regularizer ("disto",
     "disto-fixed-scale" or "rank") from `coords`, which is left as it is,
     with its learning rate decayed linearly from `lr` towards 0 for a tight
-    fit. "rank" draws `triplets` triples per step from `rng`, or takes all
-    of them when K(K-1)(K-2) <= 2000, and adds `_self_rank_loss`, which
-    keeps sibling prototypes apart. A Euclidean "disto" fit ends with the
-    `lm_refine` polish. Raises TrainingDivergedError, naming the step, once
-    a coordinate stops being finite, or when the last step leaves a
-    distance that is not.
+    fit, on the term `_fit_terms` binds to the metric once: "rank" takes all
+    triples, or draws `triplets` of them per step from `rng`, and adds the
+    self triples, which keep sibling prototypes apart. A Euclidean "disto"
+    fit ends with the `lm_refine` polish. Raises TrainingDivergedError,
+    naming the step, once a coordinate stops being finite, or when the last
+    step leaves a distance that is not.
 
     The defaults are `embed`'s; the `fixed-proto` schedule's first stage
-    runs with them. The disto kinds are bound to the metric once
-    (`_disto_terms`); "rank" wraps each step's coordinates in a set.
+    runs with them.
     """
     start = PrototypeSet(coords, tuple(range(len(coords))))
-    K = metric.size
-    if start.size != K:
-        raise ValueError(f"prototype count {start.size} does not match metric size {K}")
-    if regularizer == "rank":
-        exhaustive = K * (K - 1) * (K - 2) <= 2000
-
-        def loss(c):
-            value, _, grads = regularizer_loss(regularizer, start.with_coords(c), metric, spec,
-                                               rng, triplets, exhaustive)
-            self_value, self_grads = _self_rank_loss(c, spec)
-            return value + self_value, None, grads + self_grads
-    elif regularizer in ("disto", "disto-fixed-scale"):
-        loss = _disto_terms(metric, spec, fixed_scale=regularizer == "disto-fixed-scale")
-    else:
-        raise ValueError(f"unknown regularizer '{regularizer}'")
+    if start.size != metric.size:
+        raise ValueError(f"prototype count {start.size} does not match metric size {metric.size}")
+    loss = _fit_terms(regularizer, metric, spec, rng, triplets)
     coords = np.array(start.coords)
     opt = make_optimizer(OptimizerSpec(lr=lr))
     for step in range(steps):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import protometric as pm
 from protometric import geometry
-from protometric.distortion import l2_scale, regularizer_loss
-from protometric.geometry import EUCLIDEAN, DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm
+from protometric.distortion import l2_scale
+from protometric.geometry import (EUCLIDEAN, TAU, DistanceSpec, dist_from_sqnorm,
+                                  grad_weight_from_sqnorm)
 
 # Six nodes, three leaves; the toy hierarchy used across the suite.
 TOY_EDGE_LIST = "a1\tA\na2\tA\nb1\tB\nA\troot\nB\troot\n"
@@ -210,12 +212,59 @@ def triu_disto_loss(pi: pm.PrototypeSet, metric: pm.FiniteMetric, spec: Distance
     return value, float(s), geometry.pair_contract(W, pi.coords, pi.coords)
 
 
-def triu_regularizer_loss(kind, pi, metric, spec, rng=None, triplet_count=10,
-                          exhaustive=False):
-    """regularizer_loss with the disto kinds from `triu_disto_loss`."""
-    if kind == "rank":
-        return regularizer_loss(kind, pi, metric, spec, rng, triplet_count, exhaustive)
-    return triu_disto_loss(pi, metric, spec, fixed_scale=kind == "disto-fixed-scale")
+def self_rank_loss(coords: np.ndarray, spec: DistanceSpec):
+    """`rank_loss` of the triples (k, l, k), with gradients, as a prototype-only
+    rank fit added it before the bound term: each prototype ranks itself
+    nearest, as D[k,k] = 0 < D[k,l], so a pair's term is softplus(-d_kl), the
+    Rbar = 1 branch at gap d_kl. Value is the mean over the pairs."""
+    K = coords.shape[0]
+    iu, ju = np.triu_indices(K, k=1)
+    sq = geometry.pairwise_sqnorms(coords, coords)[iu, ju]
+    e = np.exp(-dist_from_sqnorm(spec, sq))  # d >= 0: softplus(-d) = log1p(e)
+    W = np.zeros((K, K))
+    W[iu, ju] = W[ju, iu] = -e / (1.0 + e) / e.size * grad_weight_from_sqnorm(spec, sq)
+    return float(np.mean(np.log1p(e))), geometry.pair_contract(W, coords, coords)
+
+
+def scatter_rank_fit(pi: pm.PrototypeSet, metric: pm.FiniteMetric, spec: DistanceSpec,
+                     batch: pm.TripletBatch):
+    """(value, grads, w, dvalue, dw) of a prototype-only rank fit's term: the
+    mean cross-entropy over the batch plus that over the self triples
+    (k, l, k), from explicit differences, each pair's gradient w (pi_k -
+    pi_l) scattered onto its two prototypes; w are the pair weights in triu
+    order.
+
+    dvalue and dw bound how far the value and each weight move when every
+    distance moves by relative tau = 2 TAU, as the expansion's may. A gap
+    moves by e = tau (d_kl + d_km); its softplus term by |sigmoid(gap) -
+    Rbar| e + e^2 / 8, and the derivative sigmoid(gap) - Rbar by e / 4,
+    plus 2^-50 for its rounding near 0 or 1; the distance kind's weight
+    moves by tau relative."""
+    tau = 2 * TAU
+    iu, ju, diff, sq = _pair_geometry(pi.coords)
+    K, P = pi.size, iu.size
+    pair = np.zeros((K, K), dtype=np.intp)
+    pair[iu, ju] = pair[ju, iu] = np.arange(P)
+    k, l, m = batch.triplets.T
+    near, far = np.append(pair[k, l], np.arange(P)), np.append(pair[k, m], np.full(P, P))
+    d = np.append(dist_from_sqnorm(spec, sq), 0.0)  # slot P: the distance 0 of (k, k)
+    gap, e = d[near] - d[far], tau * (d[near] + d[far])
+    rbar = np.append(metric.costs[k, l] > metric.costs[k, m], np.ones(P))
+    share = np.append(np.full(k.size, 1.0 / k.size), np.full(P, 1.0 / P))
+    values = rbar * np.logaddexp(0.0, -gap) + (1.0 - rbar) * np.logaddexp(0.0, gap)
+    dgap = expit(gap) - rbar
+    dd, slack = np.zeros(P + 1), np.zeros(P + 1)
+    for sign, end in ((1.0, near), (-1.0, far)):
+        np.add.at(dd, end, sign * dgap * share)
+        np.add.at(slack, end, (e / 4 + 2.0 ** -50) * share)
+    g = grad_weight_from_sqnorm(spec, sq)
+    w = dd[:P] * g
+    grads = np.zeros_like(pi.coords)
+    np.add.at(grads, iu, w[:, None] * diff)
+    np.add.at(grads, ju, -w[:, None] * diff)
+    dvalue = float((np.abs(dgap) * e + e * e / 8) @ share)
+    dw = g * (slack[:P] * (1 + tau) + tau * np.abs(dd[:P]))
+    return float(values @ share), grads, w, dvalue, dw
 
 
 def scatter_lm_gradient(coords: np.ndarray, target: np.ndarray, costs: np.ndarray):

@@ -12,15 +12,14 @@ from scipy.optimize import minimize_scalar
 
 import protometric as pm
 from protometric import DegeneratePrototypesError, DistanceSpec, FiniteMetric, PrototypeSet
-from protometric.distortion import (LM_MIN_DECREASE, _cg_step, _disto_terms, _jtj_product,
-                                    _self_rank_loss, _upper_pairs, l2_scale, lm_refine,
-                                    regularizer_loss)
+from protometric.distortion import (LM_MIN_DECREASE, _cg_step, _fit_terms, _jtj_product,
+                                    _upper_pairs, l2_scale, lm_refine, regularizer_loss)
 from protometric.geometry import TAU, dist_from_sqnorm, grad_weight_from_sqnorm
 
 from conftest import (grid_search_scale, one_shot_sqnorms, pairwise_distances,
                       random_leaf_metric, random_prototype_instance, scaled_l1_sum,
-                      scatter_disto_loss, scatter_lm_gradient, triu_disto_loss,
-                      triu_regularizer_loss)
+                      scatter_disto_loss, scatter_lm_gradient, scatter_rank_fit, self_rank_loss,
+                      triu_disto_loss)
 
 EUC = DistanceSpec("euclidean")
 
@@ -229,15 +228,18 @@ LAYOUTS = ("random", "coincident", "grid")
 
 
 def layout_coords(rng, K, m, layout):
-    """(K, m) prototypes: normal draws; normal draws with repeated rows; or
-    points of the grid {-1, 0, 1}^m, full of equal distances and exact
-    zeros. Rows 0 and 1 always differ, so the scale stays defined."""
+    """(K, m) prototypes: normal draws; normal draws with repeated rows; those
+    rows each moved by about 1e-9 ("near"); or points of the grid
+    {-1, 0, 1}^m, full of equal distances and exact zeros. Rows 0 and 1
+    always differ, so the scale stays defined."""
     if layout == "grid":
         coords = rng.integers(-1, 2, (K, m)).astype(np.float64)
     else:
         coords = rng.standard_normal((K, m))
-        if layout == "coincident":
+        if layout in ("coincident", "near"):
             coords[2:] = coords[rng.integers(0, K, K - 2)]
+        if layout == "near":
+            coords[2:] += 1e-9 * rng.standard_normal((K - 2, m))
     coords[1] = coords[0] + 1.0
     return coords
 
@@ -294,6 +296,34 @@ class TestPairKernelsAgainstScatter:
         moved[iu, ju] = moved[ju, iu] = dw * np.sqrt(sq)
         assert_matches_scatter(grads, want_grads, pi.coords, w, moved.sum(axis=1))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.integers(1, 8),
+           st.sampled_from([EUC, DistanceSpec("squared-euclidean"),
+                            DistanceSpec("huber", delta=0.5)]),
+           st.sampled_from(LAYOUTS + ("near",)), st.integers(1, 20))
+    @example(0, 3, 1, EUC, "coincident", 1)
+    @example(1, 13, 4, EUC, "near", 10)  # the most classes with every triple bound
+    @example(2, 14, 3, DistanceSpec("huber", delta=0.5), "grid", 7)  # the fewest sampled
+    def test_bound_rank_term(self, seed, K, m, spec, layout, triplets):
+        rng = np.random.default_rng(seed)
+        metric = random_leaf_metric(K, rng)
+        pi = PrototypeSet(layout_coords(rng, K, m, layout), tuple(range(K)))
+        rng_a, rng_b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        exhaustive = K * (K - 1) * (K - 2) <= 2000
+        term = _fit_terms("rank", metric, spec, rng_a, triplets)
+        term(rng.standard_normal((K, m)))  # the reused weight buffer keeps nothing
+        pm.sample_triplets(K, triplets, rng_b, exhaustive)  # the twins stay in step
+        value, s, grads = term(pi.coords)
+        batch = pm.sample_triplets(K, triplets, rng_b, exhaustive)
+        want, want_grads, w, dvalue, dw = scatter_rank_fit(pi, metric, spec, batch)
+        assert s is None
+        assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+        assert abs(value - want) <= 1e-12 * want + dvalue
+        iu, ju = np.triu_indices(K, k=1)
+        moved = np.zeros((K, K))
+        moved[iu, ju] = moved[ju, iu] = dw * pairwise_distances(EUC, pi.coords, pi.coords)[iu, ju]
+        assert_matches_scatter(grads, want_grads, pi.coords, w, moved.sum(axis=1))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6),
            st.sampled_from(LAYOUTS))
@@ -337,7 +367,7 @@ def test_upper_pairs_flat_indices(K):
 
 
 class TestBoundDistoTerm:
-    """`disto_loss` and the term `_disto_terms` binds, bit for bit against
+    """`disto_loss` and the term `_fit_terms` binds, bit for bit against
     the 2-D gathers and the fresh weight matrix they replaced."""
 
     @settings(max_examples=80, deadline=None)
@@ -351,14 +381,9 @@ class TestBoundDistoTerm:
     def test_equals_triangle_oracle(self, seed, K, m, spec, layout, fixed_scale):
         rng = np.random.default_rng(seed)
         metric = random_leaf_metric(K, rng)
-        if layout == "near":  # coincident rows, each moved by about 1e-9
-            coords = layout_coords(rng, K, m, "coincident")
-            coords[2:] += 1e-9 * rng.standard_normal((K - 2, m))
-        else:
-            coords = layout_coords(rng, K, m, layout)
-        pi = PrototypeSet(coords, tuple(range(K)))
+        pi = PrototypeSet(layout_coords(rng, K, m, layout), tuple(range(K)))
         want = triu_disto_loss(pi, metric, spec, fixed_scale)
-        term = _disto_terms(metric, spec, fixed_scale)
+        term = _fit_terms("disto-fixed-scale" if fixed_scale else "disto", metric, spec)
         term(rng.standard_normal((K, m)))  # the reused weight buffer keeps nothing
         for got in (pm.disto_loss(pi, metric, spec, fixed_scale), term(pi.coords)):
             assert got[:2] == want[:2]
@@ -369,7 +394,7 @@ class TestBoundDistoTerm:
         costs[0, 2] = costs[2, 0] = 0.0
         metric = FiniteMetric(("a", "b", "c"), costs)
         coords = np.eye(3)
-        for fit in (lambda: _disto_terms(metric, EUC),
+        for fit in (lambda: _fit_terms("disto", metric, EUC),
                     lambda: pm.disto_loss(PrototypeSet(coords, (0, 1, 2)), metric, EUC),
                     lambda: pm.fit_prototypes(metric, EUC, "disto", None, coords, 5, 0.05)):
             with pytest.raises(ValueError, match="zero or negative off-diagonal entry"):
@@ -378,18 +403,21 @@ class TestBoundDistoTerm:
 
 def embed_loop(metric, spec, regularizer, rng, coords, steps, lr, triplets=10):
     """`embed`'s fit as it was before `fit_prototypes`, kept as its oracle: a
-    fresh PrototypeSet and a regularizer call (the disto kinds in their 2-D
-    gather form, "rank" plus `_self_rank_loss`) at every step."""
+    fresh PrototypeSet and a regularizer call at every step, the disto kinds
+    in their 2-D gather form, "rank" as `rank_loss` of a fresh batch plus
+    `self_rank_loss`."""
     K = metric.size
     class_map = tuple(range(K))
     exhaustive = K * (K - 1) * (K - 2) <= 2000
     opt = pm.make_optimizer(pm.OptimizerSpec(lr=lr))
     for step in range(steps):
         opt.lr = lr * (1.0 - step / steps)
-        _, _, grads = triu_regularizer_loss(regularizer, PrototypeSet(coords, class_map),
-                                            metric, spec, rng, triplets, exhaustive)
+        pi = PrototypeSet(coords, class_map)
         if regularizer == "rank":
-            grads = grads + _self_rank_loss(coords, spec)[1]
+            batch = pm.sample_triplets(K, triplets, rng, exhaustive)
+            grads = pm.rank_loss(pi, metric, spec, batch)[1] + self_rank_loss(coords, spec)[1]
+        else:
+            grads = triu_disto_loss(pi, metric, spec, regularizer == "disto-fixed-scale")[2]
         opt.step({"proto": coords}, {"proto": grads})
         if not np.all(np.isfinite(coords)):
             raise pm.TrainingDivergedError(f"non-finite prototypes at step {step + 1}")
@@ -439,7 +467,19 @@ class TestFitPrototypes:
         metric = pm.cost_matrix(self.TREE, nodes)
         for seed in (0, 1):
             got, want = self._both(metric, EUC, "rank", seed, 2, steps=40)
-            np.testing.assert_array_equal(got, want)
+            # the bound term sums the triples and the self triples in one
+            # bincount and takes its distances from the expansion, so each
+            # gradient moves by ulps of its largest entry; 40 Adam steps
+            # carried that to 4.3e-16 of the largest coordinate
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_rank_needs_an_rng(self):
+        metric = pm.cost_matrix(self.TREE)
+        coords = np.random.default_rng(0).standard_normal((metric.size, 2))
+        for fit in (lambda: _fit_terms("rank", metric, EUC),
+                    lambda: pm.fit_prototypes(metric, EUC, "rank", None, coords, 5, 0.05)):
+            with pytest.raises(ValueError, match="rank regularizer needs an rng"):
+                fit()
 
     def test_rank_keeps_siblings_apart(self):
         # no triple of distinct classes holds a sibling pair apart: without
@@ -543,17 +583,22 @@ class TestRankLoss:
     @pytest.mark.parametrize("spec", [EUC, DistanceSpec("squared-euclidean"),
                                       DistanceSpec("huber", delta=0.3)])
     def test_self_triples(self, spec):
-        # the triples (k, l, k): hard ranking 1 (D[k,l] > D[k,k] = 0), gap d_kl
-        coords = np.random.default_rng(11).standard_normal((6, 3))
-        d = pairwise_distances(spec, coords, coords)[~np.eye(6, dtype=bool)]
-        value, _ = _self_rank_loss(coords, spec)
-        assert value == pytest.approx(np.mean(np.log1p(np.exp(-d))), rel=1e-12)
+        # a fit's term: every triple of 6 classes, bound, so each call is the
+        # same function, plus the triples (k, l, k): hard ranking 1 (D[k,l] >
+        # D[k,k] = 0), gap d_kl
+        rng = np.random.default_rng(11)
+        pi, metric = random_prototype_instance(6, 3, rng)
+        term = _fit_terms("rank", metric, spec, rng)
+        d = pairwise_distances(spec, pi.coords, pi.coords)[~np.eye(6, dtype=bool)]
+        batch = pm.sample_triplets(6, 1, rng, exhaustive=True)
+        want = pm.rank_loss(pi, metric, spec, batch)[0] + np.mean(np.log1p(np.exp(-d)))
+        assert term(pi.coords)[0] == pytest.approx(want, rel=1e-12)
 
         def evaluate(flat):
-            value, grads = _self_rank_loss(flat.reshape(6, 3), spec)
+            value, _, grads = term(flat.reshape(6, 3))
             return value, grads.ravel()
 
-        assert pm.finite_difference_check(evaluate, coords.ravel()) < 1e-4
+        assert pm.finite_difference_check(evaluate, pi.coords.ravel()) < 1e-4
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -591,6 +636,19 @@ class TestRankLoss:
         for row in ([0, 1, -1], [-3, 1, 2]):
             with pytest.raises(ValueError, match="triplet indices must be >= 0"):
                 pm.TripletBatch(np.array([row]))
+
+    def test_non_integer_index_rejected(self):
+        # the cast to indices would read (0, 1.7, 2.9) and (True, False, 2) as
+        # (0, 1, 2) and (1, 0, 2)
+        for triplets in (np.array([[0.0, 1.7, 2.9]]), [[True, False, 2]], [[0, 1.0, 2]],
+                         np.array([[True, False, True]])):
+            with pytest.raises(ValueError, match="triplets must be integers"):
+                pm.TripletBatch(triplets)
+        for class_map in ((0, 1.5, 2.9), (True, 1, 2), np.array([0.0, 1.0, 2.0])):
+            with pytest.raises(ValueError, match="class_map must be integers"):
+                PrototypeSet(np.eye(3), class_map)
+        assert pm.TripletBatch(np.array([[2, 0, 1]], np.int32)).triplets.tolist() == [[2, 0, 1]]
+        assert PrototypeSet(np.eye(3), np.arange(3, dtype=np.uint8)).class_map == (0, 1, 2)
 
 
 class TestPermutationEquivariance:

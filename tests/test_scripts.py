@@ -88,6 +88,10 @@ def test_sweep_runs_are_byte_identical(tmp_path):
     for pattern in ("train/cross-entropy/eval_seed*.json", "eval/cross-entropy/*.json",
                     "train/*/aggregate_eval.json", "embed/rank-*/distortion.json"):
         assert sweep.TOLERANCES[pattern] == ("json", 1e-10)
+    assert sweep.TOLERANCES["embed/rank-*/prototypes.csv"] == ("csv", 1e-10)
+    # the tiny matrix runs the bound rank term, in a fixed-proto stage 1 and an embed
+    assert {"train/fixed-proto-rank/checkpoint_seed0.json",
+            "embed/rank-euclidean-leaves-d2/prototypes.csv"} <= sweep._files(a)
     assert not any(fnmatch.fnmatchcase("train/cross-entropy/checkpoint_seed0.json", pattern)
                    for pattern in sweep.TOLERANCES)
     ce_eval = tmp_path / "b" / "eval" / "cross-entropy" / "train-max-prob" / "eval.json"
