@@ -68,7 +68,8 @@ ARMS = {
     "tanh": ({"activation": "tanh", "hidden": [8, 8]}, {}),
     "mean-aggregate": ({}, {"aggregate": "mean", "seeds": [0, 1, 2]}),
 }
-TINY_ARMS = ("disto", "fixed-proto", "fixed-proto-rank", "cross-entropy", "soft-labels")
+TINY_ARMS = ("disto", "rank", "fixed-proto", "fixed-proto-rank", "cross-entropy",
+             "soft-labels")
 BIG_INFER_ARMS = ("disto", "cross-entropy")
 # train section of every arm before its overrides
 BASE_SECTION = {"lambda": 1.0, "m": 4, "architecture": "mlp", "hidden": [8], "batch_size": 16}

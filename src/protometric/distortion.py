@@ -261,12 +261,14 @@ def sample_triplets(K: int, S: int, rng: np.random.Generator,
 
 def _ranking(gap: np.ndarray, rbar: np.ndarray):
     """Per triple, the binary cross-entropy of the soft ranking sigmoid(gap)
-    against the hard one rbar, in softplus form without overflow, and its
-    derivative sigmoid(gap) - rbar in the gap."""
+    against the hard one rbar (0 or 1), in softplus form without overflow,
+    and its derivative sigmoid(gap) - rbar in the gap, as -sigmoid(-gap) at
+    rbar = 1, which keeps it relatively accurate where the ranking saturates."""
     e = np.exp(-np.abs(gap))
     log1p = np.log1p(e)
     value = rbar * (np.maximum(-gap, 0.0) + log1p) + (1.0 - rbar) * (np.maximum(gap, 0.0) + log1p)
-    return value, np.exp(np.minimum(gap, 0.0)) / (1.0 + e) - rbar
+    up, down = np.exp(np.minimum(gap, 0.0)) / (1.0 + e), np.exp(np.minimum(-gap, 0.0)) / (1.0 + e)
+    return value, (1.0 - rbar) * up - rbar * down
 
 
 def rank_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
@@ -363,24 +365,6 @@ def _fit_terms(kind: str, metric: FiniteMetric, spec: DistanceSpec,
         return value, s, pair_contract(_pair_matrix(w, W), coords, coords)
 
     return terms
-
-
-def regularizer_loss(kind: str, pi: PrototypeSet, metric: FiniteMetric,
-                     spec: DistanceSpec, rng: np.random.Generator | None = None,
-                     triplet_count: int = 10):
-    """Value, fitted scale (None for "rank") and gradients of one regularizer.
-
-    `kind` is "disto", "disto-fixed-scale" or "rank"; "rank" draws its
-    `triplet_count` triplets from `rng`.
-    """
-    if kind == "rank":
-        if rng is None:
-            raise ValueError("rank regularizer needs an rng for triplet sampling")
-        value, grads = rank_loss(pi, metric, spec, sample_triplets(pi.size, triplet_count, rng))
-        return value, None, grads
-    if kind not in ("disto", "disto-fixed-scale"):
-        raise ValueError(f"unknown regularizer '{kind}'")
-    return disto_loss(pi, metric, spec, fixed_scale=kind == "disto-fixed-scale")
 
 
 def distortion_report(pi: PrototypeSet, metric: FiniteMetric,

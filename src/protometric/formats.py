@@ -66,11 +66,14 @@ def _join(path: str, key: str) -> str:
 @functools.cache
 def _fields(cls) -> dict:
     """JSON key -> (field name, type, required) per field of a record class."""
-    # names a module binds only for type checking (the CLI's TrainConfig)
-    # resolve among the package's exports
-    package = sys.modules[__package__]
-    exports = {name: getattr(package, name) for name in package.__all__}
-    hints = typing.get_type_hints(cls, localns=exports)
+    # hints resolve in the class's own module, so a record loads no module it
+    # does not name; one its module binds only for type checking (the CLI's
+    # TrainConfig) resolves among the package's exports
+    try:
+        hints = typing.get_type_hints(cls)
+    except NameError as exc:
+        package = sys.modules[__package__]
+        hints = typing.get_type_hints(cls, localns={exc.name: getattr(package, exc.name)})
     return {f.metadata.get("key", f.name): (f.name, hints[f.name],
                                             f.default is dataclasses.MISSING
                                             and f.default_factory is dataclasses.MISSING)

@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .data import Dataset
-from .distortion import PrototypeSet, fit_prototypes, regularizer_loss
+from .distortion import PrototypeSet, disto_loss, fit_prototypes, rank_loss, sample_triplets
 from .formats import Record, csv_text, json_text, parse_json
 from .geometry import (DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract,
                        pairwise_sqnorms)
@@ -102,15 +102,14 @@ def init_embedding_model(kind: str, input_dim: int, output_dim: int,
     return model
 
 
-def _unpack(model: EmbeddingModel, params: np.ndarray | None = None):
+def _unpack(model: EmbeddingModel | LinearHead):
     """Per-layer (W, b) views into the flat parameter vector."""
-    flat = model.params if params is None else params
     layers = []
     offset = 0
     for din, dout in model.layer_dims():
-        W = flat[offset:offset + din * dout].reshape(dout, din)
+        W = model.params[offset:offset + din * dout].reshape(dout, din)
         offset += din * dout
-        b = flat[offset:offset + dout]
+        b = model.params[offset:offset + dout]
         offset += dout
         layers.append((W, b))
     return layers
@@ -133,8 +132,8 @@ def forward(model: EmbeddingModel, x) -> np.ndarray:
     return E[0] if single else E
 
 
-def _forward_cache(model: EmbeddingModel, X: np.ndarray):
-    """Embeddings of the rows of X, and each layer's (input, pre-activation)
+def _forward_cache(model: EmbeddingModel | LinearHead, X: np.ndarray):
+    """Outputs for the rows of X, and each layer's (input, pre-activation)
     pair; every layer but the last is activated."""
     layers = _unpack(model)
     cache = []
@@ -146,8 +145,9 @@ def _forward_cache(model: EmbeddingModel, X: np.ndarray):
     return H, cache
 
 
-def _backward(model: EmbeddingModel, cache, dE: np.ndarray) -> np.ndarray:
-    """Gradient of a scalar loss wrt the flat parameters, given dloss/dE."""
+def _backward(model: EmbeddingModel | LinearHead, cache, dE: np.ndarray):
+    """Gradients of a scalar loss wrt the flat parameters and wrt the input
+    rows, given dloss/dE for the outputs."""
     layers = _unpack(model)
     grads = [np.zeros(0)]  # each layer inserts its pair: [W0, b0, W1, b1, ...]
     dH = dE
@@ -161,7 +161,7 @@ def _backward(model: EmbeddingModel, cache, dE: np.ndarray) -> np.ndarray:
             dZ = dH * (1.0 - np.tanh(Z) ** 2)
         grads[1:1] = [(dZ.T @ H_in).ravel(), dZ.sum(axis=0)]
         dH = dZ @ W
-    return np.concatenate(grads)
+    return np.concatenate(grads), dH
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def data_loss(X, z, model: EmbeddingModel, pi: PrototypeSet, spec: DistanceSpec,
     dP = pair_contract(C.T, P, E)
     dcoords = np.zeros_like(P_full)
     dcoords[rows] = dP
-    dmodel = _backward(model, cache, dE)
+    dmodel, _ = _backward(model, cache, dE)
     return value, dmodel, dcoords
 
 
@@ -311,9 +311,14 @@ def total_loss(X, z, model: EmbeddingModel, pi: PrototypeSet,
     l_reg = 0.0
     s_star = None
     if config.lam > 0 and config.regularizer != "none":
-        l_reg, s_star, greg = regularizer_loss(config.regularizer, pi, metric_reg,
-                                               config.distance, rng,
-                                               config.triplet_count)
+        if config.regularizer != "rank":
+            l_reg, s_star, greg = disto_loss(pi, metric_reg, config.distance,
+                                             fixed_scale=config.regularizer == "disto-fixed-scale")
+        elif rng is None:
+            raise ValueError("rank regularizer needs an rng for triplet sampling")
+        else:
+            l_reg, greg = rank_loss(pi, metric_reg, config.distance,
+                                    sample_triplets(pi.size, config.triplet_count, rng))
         dcoords = dcoords + config.lam * greg
     breakdown = LossBreakdown(l_data=l_data, l_reg=l_reg,
                               total=l_data + config.lam * l_reg, s_star=s_star)
@@ -326,7 +331,8 @@ def total_loss(X, z, model: EmbeddingModel, pi: PrototypeSet,
 
 @dataclass
 class LinearHead(Record):
-    """Linear map from the embedding space to class logits (zero-initialized)."""
+    """Linear map from the embedding space to class logits (zero-initialized):
+    one unactivated layer of the network code."""
 
     n_classes: int
     input_dim: int
@@ -339,11 +345,12 @@ class LinearHead(Record):
         elif self.params.shape != (want,):
             raise ValueError("head parameter vector has the wrong size")
 
+    def layer_dims(self) -> list[tuple[int, int]]:
+        return [(self.input_dim, self.n_classes)]
+
 
 def head_logits(head: LinearHead, E: np.ndarray) -> np.ndarray:
-    W = head.params[:head.n_classes * head.input_dim].reshape(head.n_classes, head.input_dim)
-    b = head.params[head.n_classes * head.input_dim:]
-    return E @ W.T + b
+    return _forward_cache(head, E)[0]
 
 
 def _head_loss(X, z, model: EmbeddingModel, head: LinearHead,
@@ -352,14 +359,12 @@ def _head_loss(X, z, model: EmbeddingModel, head: LinearHead,
     X = np.asarray(X, dtype=np.float64)
     z = np.asarray(z, dtype=np.intp)
     E, cache = _forward_cache(model, X)
+    logits, head_cache = _forward_cache(head, E)
     T = np.eye(head.n_classes)[z] if target_table is None else target_table[z]
-    value, dlogits = _softmax_xent(head_logits(head, E), T)
-    W = head.params[:head.n_classes * head.input_dim].reshape(head.n_classes, head.input_dim)
-    dW = dlogits.T @ E
-    db = dlogits.sum(axis=0)
-    dE = dlogits @ W
-    dmodel = _backward(model, cache, dE)
-    return value, dmodel, np.concatenate([dW.ravel(), db])
+    value, dlogits = _softmax_xent(logits, T)
+    dhead, dE = _backward(head, head_cache, dlogits)
+    dmodel, _ = _backward(model, cache, dE)
+    return value, dmodel, dhead
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +493,7 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
     records = []
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(N)
-        sum_data = 0.0
-        sum_reg = 0.0
-        sum_sstar = 0.0
-        n_sstar = 0
-        n_batches = 0
+        steps = []
         for start in range(0, N, config.batch_size):
             idx = perm[start:start + config.batch_size]
             breakdown, grads = step(X_all[idx], z_all[idx])
@@ -504,16 +505,12 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
                 if not np.all(np.isfinite(p)):
                     raise TrainingDivergedError(
                         f"non-finite parameters at epoch {epoch} (lr={config.optimizer.lr})")
-            sum_data += breakdown.l_data
-            sum_reg += breakdown.l_reg
-            if breakdown.s_star is not None:
-                sum_sstar += breakdown.s_star
-                n_sstar += 1
-            n_batches += 1
+            steps.append(breakdown)
 
-        l_data = sum_data / n_batches
-        l_reg = sum_reg / n_batches
-        s_star = sum_sstar / n_sstar if n_sstar else None
+        l_data = sum(b.l_data for b in steps) / len(steps)
+        l_reg = sum(b.l_reg for b in steps) / len(steps)
+        s_stars = [b.s_star for b in steps if b.s_star is not None]
+        s_star = sum(s_stars) / len(s_stars) if s_stars else None
         proto_leaf = proto[leaf_rows] if proto is not None else None
         P = leaf_posterior(model, X_all, proto_leaf, config.distance, head)
         preds = np.argmax(P, axis=1)  # ties go to the lowest index

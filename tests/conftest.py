@@ -9,6 +9,7 @@ from protometric import geometry
 from protometric.distortion import l2_scale
 from protometric.geometry import (EUCLIDEAN, TAU, DistanceSpec, dist_from_sqnorm,
                                   grad_weight_from_sqnorm)
+from protometric.model import _backward, _forward_cache, _softmax_xent
 
 # Six nodes, three leaves; the toy hierarchy used across the suite.
 TOY_EDGE_LIST = "a1\tA\na2\tA\nb1\tB\nA\troot\nB\troot\n"
@@ -279,3 +280,22 @@ def scatter_lm_gradient(coords: np.ndarray, target: np.ndarray, costs: np.ndarra
     np.add.at(g, iu, a * r[:, None])
     np.add.at(g, ju, -a * r[:, None])
     return g, r / np.maximum(d, 1e-300) / costs * (d > 0)
+
+
+# ---------------------------------------------------------------------------
+# Linear-head reference
+# ---------------------------------------------------------------------------
+
+def linear_head_loss(X, z, model: pm.EmbeddingModel, head: pm.LinearHead,
+                     target_table: np.ndarray | None = None):
+    """(logits, value, dmodel, dhead) of the linear head on the embedded rows
+    of X, by the head's own reshapes and products: logits E W^T + b, and the
+    cross-entropy gradients dW = dlogits^T E, db and dE = dlogits W."""
+    W = head.params[:head.n_classes * head.input_dim].reshape(head.n_classes, head.input_dim)
+    b = head.params[head.n_classes * head.input_dim:]
+    E, cache = _forward_cache(model, np.asarray(X, dtype=np.float64))
+    logits = E @ W.T + b
+    T = np.eye(head.n_classes)[z] if target_table is None else target_table[z]
+    value, dlogits = _softmax_xent(logits, T)
+    dmodel, _ = _backward(model, cache, dlogits @ W)
+    return logits, value, dmodel, np.concatenate([(dlogits.T @ E).ravel(), dlogits.sum(axis=0)])

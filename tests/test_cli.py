@@ -569,6 +569,31 @@ def test_importing_the_cli_loads_no_numpy():
     assert done.stdout.strip() == "False"
 
 
+def test_records_load_no_module_the_command_does_not_run(tmp_path, toy_tax_file):
+    # the record codec resolves each record's type hints in its own module
+    tax = pm.parse_taxonomy(TOY_EDGE_LIST)
+    model = pm.init_embedding_model("linear", 3, 2, rng=np.random.default_rng(0))
+    pi = pm.PrototypeSet(np.random.default_rng(1).standard_normal((3, 2)), tax.leaf_ids)
+    ckpt = str(tmp_path / "ckpt.json")
+    pm.save_checkpoint(ckpt, pm.Checkpoint(model, pi, pm.DistanceSpec(), tax))
+    out = str(tmp_path / "emb")
+    code = (
+        "import json, sys\n"
+        "from protometric import cli\n"
+        "def loaded(*names):\n"
+        "    return [n for n in names if 'protometric.' + n in sys.modules]\n"
+        f"assert cli.main(['embed', {toy_tax_file!r}, '--dim', '2', '--steps', '5', "
+        f"'--out', {out!r}]) == 0\n"
+        "after_embed = loaded('model', 'evaluation', 'inference')\n"
+        "from protometric.model import load_checkpoint\n"
+        f"load_checkpoint({ckpt!r})\n"
+        "print(json.dumps([after_embed, loaded('evaluation', 'inference')]))\n")
+    src = os.path.dirname(os.path.dirname(pm.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], []]
+
+
 def test_output_root_env(tmp_path, monkeypatch, toy_tax_file):
     monkeypatch.setenv("PROTOMETRIC_OUTPUT_ROOT", str(tmp_path / "root"))
     monkeypatch.chdir(tmp_path)

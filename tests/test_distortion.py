@@ -13,7 +13,7 @@ from scipy.optimize import minimize_scalar
 import protometric as pm
 from protometric import DegeneratePrototypesError, DistanceSpec, FiniteMetric, PrototypeSet
 from protometric.distortion import (LM_MIN_DECREASE, _cg_step, _fit_terms, _jtj_product,
-                                    _upper_pairs, l2_scale, lm_refine, regularizer_loss)
+                                    _ranking, _upper_pairs, l2_scale, lm_refine)
 from protometric.geometry import TAU, dist_from_sqnorm, grad_weight_from_sqnorm
 
 from conftest import (grid_search_scale, one_shot_sqnorms, pairwise_distances,
@@ -570,6 +570,14 @@ class TestRankLoss:
         value, _ = pm.rank_loss(PrototypeSet(coords, (0, 1, 2)), metric, EUC, batch)
         assert value < 1e-8
 
+    def test_saturated_derivative_keeps_relative_accuracy(self):
+        # at Rbar = 1 the derivative sigmoid(gap) - 1 is -e/(1 + e), e = exp(-gap);
+        # taken as that difference it cancels, to exactly 0 from gap ~ 37 on
+        gap = np.array([30.0, 36.0, 40.0, 100.0, 700.0])
+        e = np.exp(-gap)
+        _, dgap = _ranking(gap, np.ones(gap.size))
+        np.testing.assert_allclose(dgap, -e / (1.0 + e), rtol=1e-15, atol=0)
+
     def test_tied_costs_count_as_not_greater(self):
         # D[k,l] == D[k,m] gives hard ranking 0, pushing d(k,l) below d(k,m)
         coords = np.array([[0.0], [2.0], [1.0]])
@@ -686,31 +694,6 @@ def test_distortion_report_fields():
     payload = report.to_dict()
     assert set(payload) == {"distortion", "scale_free_distortion", "s_star_l1",
                             "s_star_l2", "pair_count"}
-
-
-class TestRegularizerLoss:
-    @pytest.mark.parametrize("kind", ["disto", "disto-fixed-scale", "rank"])
-    def test_matches_direct_calls_and_rng_order(self, kind):
-        pi, metric = random_prototype_instance(5, 3, np.random.default_rng(4))
-        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        value, s, grads = regularizer_loss(kind, pi, metric, EUC, rng_a, 7)
-        if kind == "rank":
-            want, want_grads = pm.rank_loss(pi, metric, EUC, pm.sample_triplets(5, 7, rng_b))
-            assert s is None
-        else:
-            want, want_s, want_grads = pm.disto_loss(
-                pi, metric, EUC, fixed_scale=kind == "disto-fixed-scale")
-            assert s == want_s
-        assert value == want
-        np.testing.assert_array_equal(grads, want_grads)
-        assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
-
-    def test_rejects_missing_rng_and_unknown_kind(self):
-        pi, metric = random_prototype_instance(4, 2, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="rng"):
-            regularizer_loss("rank", pi, metric, EUC)
-        with pytest.raises(ValueError, match="unknown regularizer"):
-            regularizer_loss("none", pi, metric, EUC)
 
 
 def _gauge_basis(coords):

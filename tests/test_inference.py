@@ -256,7 +256,7 @@ class TestPredictAnyNode:
             pm.predict_any_node(np.zeros(2), pi, EUC, other, tax)
 
 
-def test_kd_tree_consistent_for_monotone_kinds():
+def test_nearest_prototype_is_the_same_under_every_kind():
     # nearest under any supported kind equals nearest under the Euclidean norm
     rng = np.random.default_rng(11)
     coords = rng.standard_normal((20, 4))
@@ -265,9 +265,9 @@ def test_kd_tree_consistent_for_monotone_kinds():
     for spec in (DistanceSpec("squared-euclidean"), DistanceSpec("huber", 0.1)):
         for _ in range(100):
             e = rng.standard_normal(4)
-            kd_idx = index.query(e)[0]
+            nearest = index.query(e)[0]
             dists = [distance(spec, e, coords[k]) for k in range(20)]
-            assert kd_idx == int(np.argmin(dists))
+            assert nearest == int(np.argmin(dists))
 
 
 @pytest.mark.parametrize("scheme", ["max-prob", "min-ec", "any-node"])

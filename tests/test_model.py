@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import protometric as pm
 from protometric import DistanceSpec, PrototypeSet, TrainConfig, TrainingDivergedError
 from protometric import model as model_module
-from protometric.model import (BLOCK_ROWS, _forward_cache, _head_loss, forward, head_logits,
-                               leaf_posterior, softmax)
+from protometric.model import (BLOCK_ROWS, _backward, _forward_cache, _head_loss, forward,
+                               head_logits, leaf_posterior, softmax)
 
-from conftest import random_prototype_instance
+from conftest import linear_head_loss, random_prototype_instance
 
 EUC = DistanceSpec("euclidean")
 
@@ -90,6 +90,18 @@ class TestForward:
             # batched and single-row matmuls may differ in the last ulp
             np.testing.assert_allclose(batch[i], pm.forward(model, X[i]),
                                        rtol=1e-12, atol=0)
+
+    def test_input_gradient_matches_finite_differences(self):
+        # the gradient wrt the input rows, which the linear head passes back
+        rng = np.random.default_rng(3)
+        model, X = network_instance(rng, "mlp", (8,), "tanh")
+        G = rng.standard_normal((X.shape[0], model.output_dim))
+
+        def evaluate(flat):
+            E, cache = _forward_cache(model, flat.reshape(X.shape))
+            return float(np.sum(G * E)), _backward(model, cache, G)[1].ravel()
+
+        assert pm.finite_difference_check(evaluate, X.ravel()) < 1e-8
 
 
 class TestPosterior:
@@ -292,6 +304,38 @@ class TestTotalLoss:
             after, _ = pm.total_loss(X, z, model2, pi2, metric, config)
             assert after.total <= breakdown.total + 1e-15
 
+    @pytest.mark.parametrize("regularizer", ["disto", "disto-fixed-scale", "rank"])
+    def test_regularizer_is_the_direct_call(self, regularizer):
+        _, pi, metric, model, X, z, config = self._instance(11, 2.0, regularizer)
+        config = dataclasses.replace(config, triplet_count=7)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        breakdown, grads = pm.total_loss(X, z, model, pi, metric, config, rng_a)
+        if regularizer == "rank":
+            want, want_grads = pm.rank_loss(pi, metric, EUC, pm.sample_triplets(4, 7, rng_b))
+            assert breakdown.s_star is None
+        else:
+            want, want_s, want_grads = pm.disto_loss(
+                pi, metric, EUC, fixed_scale=regularizer == "disto-fixed-scale")
+            assert breakdown.s_star == want_s
+        assert breakdown.l_reg == want
+        _, _, dc = pm.data_loss(X, z, model, pi, EUC)
+        np.testing.assert_array_equal(grads["proto"], dc + 2.0 * want_grads)
+        assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+
+    def test_rank_needs_an_rng(self):
+        _, pi, metric, model, X, z, config = self._instance(12, 1.0, "rank")
+        with pytest.raises(ValueError, match="rng"):
+            pm.total_loss(X, z, model, pi, metric, config)
+
+    @pytest.mark.parametrize("lam, regularizer", [(0.0, "rank"), (1.0, "none")])
+    def test_no_regularizer_term(self, lam, regularizer):
+        # the term is skipped: rank draws no triplets, so it needs no rng
+        _, pi, metric, model, X, z, config = self._instance(13, lam, regularizer)
+        breakdown, grads = pm.total_loss(X, z, model, pi, metric, config)
+        value, _, dc = pm.data_loss(X, z, model, pi, EUC)
+        assert breakdown == pm.LossBreakdown(value, 0.0, value, None)
+        np.testing.assert_array_equal(grads["proto"], dc)
+
 
 class TestSoftLabelTargets:
     def test_sharp_limit_is_one_hot(self):
@@ -399,6 +443,25 @@ class TestHeads:
             head_value, head_dmodel, _ = _head_loss(X, z, model, head)
             assert head_value == pytest.approx(value, rel=1e-12), seed
             np.testing.assert_allclose(head_dmodel, dmodel, rtol=1e-12, err_msg=str(seed))
+
+    @pytest.mark.parametrize("K", [2, 5])
+    @pytest.mark.parametrize("network", NETWORKS)
+    def test_head_is_the_linear_heads_algebra(self, network, K):
+        # the head runs on the network's layer code and keeps the bits of
+        # its own affine algebra, with hard targets and with a soft table
+        rng = np.random.default_rng(16)
+        model, X = network_instance(rng, *network)
+        head = pm.LinearHead(K, 3, rng.standard_normal(K * 3 + K))
+        z = rng.integers(0, K, X.shape[0])
+        _, metric = random_prototype_instance(K, 2, rng)
+        table = np.stack([pm.soft_label_targets(metric, k, 2.0) for k in range(K)])
+        for target_table in (None, table):
+            logits, value, dmodel, dhead = linear_head_loss(X, z, model, head, target_table)
+            np.testing.assert_array_equal(head_logits(head, forward(model, X)), logits)
+            got_value, got_dmodel, got_dhead = _head_loss(X, z, model, head, target_table)
+            assert got_value == value
+            np.testing.assert_array_equal(got_dmodel, dmodel)
+            np.testing.assert_array_equal(got_dhead, dhead)
 
 
 def blob_dataset(rng, n_per=30, gap=4.0):
@@ -578,6 +641,8 @@ def test_train_config_roundtrip():
     assert config.to_dict()["lambda"] == 0.5
     with pytest.raises(ValueError, match="hidden"):
         TrainConfig.from_dict({"hidden": "32"})  # not silently (3, 2)
+    with pytest.raises(ValueError, match="unknown regularizer"):
+        TrainConfig.from_dict({"regularizer": "ranking"})  # total_loss takes it as checked
 
 
 # a binary tree of 15 nodes, 8 leaves: stage 1 takes every rank triple on

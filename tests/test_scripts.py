@@ -89,9 +89,11 @@ def test_sweep_runs_are_byte_identical(tmp_path):
                     "train/*/aggregate_eval.json", "embed/rank-*/distortion.json"):
         assert sweep.TOLERANCES[pattern] == ("json", 1e-10)
     assert sweep.TOLERANCES["embed/rank-*/prototypes.csv"] == ("csv", 1e-10)
-    # the tiny matrix runs the bound rank term, in a fixed-proto stage 1 and an embed
+    # the tiny matrix runs the bound rank term, in a fixed-proto stage 1 and an
+    # embed, and the joint step's sampled rank_loss
     assert {"train/fixed-proto-rank/checkpoint_seed0.json",
-            "embed/rank-euclidean-leaves-d2/prototypes.csv"} <= sweep._files(a)
+            "embed/rank-euclidean-leaves-d2/prototypes.csv",
+            "train/rank/checkpoint_seed0.json"} <= sweep._files(a)
     assert not any(fnmatch.fnmatchcase("train/cross-entropy/checkpoint_seed0.json", pattern)
                    for pattern in sweep.TOLERANCES)
     ce_eval = tmp_path / "b" / "eval" / "cross-entropy" / "train-max-prob" / "eval.json"
