@@ -9,8 +9,9 @@
 regularizer, distance kind, schedule, optimizer, architecture and scheme
 (two seeds each), `eval` with every scheme on full and on class-missing
 data, `infer` with every scheme on every checkpoint, `eval` and `infer` on
-files of more than 4096 rows, and `embed` for each regularizer and distance
-kind. The commands run in one process under `--threads 1`, from OUT so that the
+files of more than 4096 rows, `infer` on a 120-leaf checkpoint over several
+posterior blocks, and `embed` for each regularizer and distance kind. The
+commands run in one process under `--threads 1`, from OUT so that the
 echoed paths are relative. `--src` picks the source tree to run (default:
 the one next to this script), so a checkout of another commit, for example
 one unpacked with `git archive REV | tar -x -C DIR`, runs the same matrix.
@@ -68,6 +69,10 @@ ARMS = {
     "tanh": ({"activation": "tanh", "hidden": [8, 8]}, {}),
     "mean-aggregate": ({}, {"aggregate": "mean", "seeds": [0, 1, 2]}),
 }
+# Taxonomy of the wide arm: 120 leaves under a (4, 5, 6) tree, so that `infer`
+# on WIDE_ROWS rows crosses at least four posterior blocks under every scheme.
+WIDE_BRANCHING = (4, 5, 6)
+WIDE_ROWS = 4000
 TINY_ARMS = ("disto", "rank", "fixed-proto", "fixed-proto-rank", "cross-entropy",
              "soft-labels")
 BIG_INFER_ARMS = ("disto", "cross-entropy")
@@ -117,6 +122,12 @@ TOLERANCES = {
         *(f"{command}/{arm}/{name}" for arm in ARMS if arm not in _prototype_head_arms()
           for command, name in (("train", "eval_seed*.json"), ("eval", "*.json"))),
         "train/*/aggregate_eval.json", "embed/rank-*/distortion.json")},
+    # max-prob takes its `ec` cell from one per-row dot, not from a GEMM over
+    # all candidates: both sum K nonnegative products, so they agree within
+    # relative K eps, 2.7e-14 at the wide arm's 120 leaves. (The prototype
+    # arms' files are inside their entry above.)
+    **{f"infer/{arm}/*max-prob.csv": ("csv", 3e-14)
+       for arm in (*(arm for arm in ARMS if arm not in _prototype_head_arms()), "wide")},
 }
 
 
@@ -143,6 +154,16 @@ def _derive_csv(src: str, dst: str, rows=slice(None), features: bool = False,
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([header, *body])
     _write(dst, out.getvalue())
+
+
+def _balanced_tree(branching) -> str:
+    """Edge list of a tree whose nodes at depth d have branching[d] children."""
+    lines, level = [], ["w"]
+    for width in branching:
+        level = [(f"{parent}{c}", parent) for parent in level for c in range(width)]
+        lines += [f"{child}\t{parent}\n" for child, parent in level]
+        level = [child for child, _ in level]
+    return "".join(lines)
 
 
 def run_matrix(out: str, src: str, tiny: bool) -> None:
@@ -202,6 +223,26 @@ def run_matrix(out: str, src: str, tiny: bool) -> None:
                      "--out", f"eval/{arm}/big-{scheme}")
                 call("infer", ckpt, "data/big_features.csv", "--scheme", scheme,
                      "--out", f"infer/{arm}/big-{scheme}.csv")
+
+    if not tiny:
+        # the wide arm: `infer` runs its rows through several posterior
+        # blocks, so `diff` compares the streamed path with another tree's
+        _write("wide/tax.tsv", _balanced_tree(WIDE_BRANCHING))
+        per_class = -(-WIDE_ROWS // math.prod(WIDE_BRANCHING))
+        call("synth", "wide/tax.tsv", "--per-class", "10", "--dims", "6", "--seed", "5",
+             "--out", "wide/train.csv")
+        call("synth", "wide/tax.tsv", "--per-class", str(per_class), "--dims", "6",
+             "--seed", "6", "--out", "wide/all.csv")
+        _derive_csv("wide/all.csv", "wide/features.csv", slice(WIDE_ROWS), features=True)
+        config = {"taxonomy_path": "wide/tax.tsv", "dataset_path": "wide/train.csv",
+                  "output_dir": "train/wide", "seeds": [0],
+                  "train": {**BASE_SECTION, "epochs": 1,
+                            "optimizer": {"kind": "adam", "lr": 0.05}}}
+        _write("configs/wide.json", json.dumps(config, indent=2, sort_keys=True))
+        call("train", "configs/wide.json")
+        for scheme in SCHEMES:
+            call("infer", "train/wide/checkpoint_seed0.json", "wide/features.csv",
+                 "--scheme", scheme, "--out", f"infer/wide/{scheme}.csv")
 
     steps = "30" if tiny else "300"
     embeds = [("disto", "euclidean", "leaves", "2"), ("rank", "euclidean", "leaves", "2")]

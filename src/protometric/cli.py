@@ -9,6 +9,7 @@ the BLAS thread pools before numpy loads.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -260,7 +261,7 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     import numpy as np
 
-    from .inference import predict, top3
+    from .inference import predict_blocks, top3
     from .model import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
@@ -272,19 +273,31 @@ def cmd_infer(args) -> int:
     if ids is None:
         ids = range(X.shape[0])
 
-    preds, metric, P, ec_table = predict(ckpt, X, args.scheme)
+    metric, blocks = predict_blocks(ckpt, X, args.scheme)
     names, leaf_names = metric.class_names, ckpt.taxonomy.leaf_names
-    top = top3(P)
-    probs = np.take_along_axis(P, top, axis=1).tolist()
-    ecs = ec_table[np.arange(X.shape[0]), preds].tolist()
-    rows = []
-    for sample_id, pred, ks, ps, ec in zip(ids, preds.tolist(), top.tolist(), probs, ecs):
-        cells = [cell for k, p in zip(ks, ps) for cell in (leaf_names[k], p)]
-        cells += [None] * (6 - len(cells))  # fewer than three leaves
-        rows.append([sample_id, args.scheme, names[pred], *cells, ec])
+    ids = iter(ids)
+
+    def block_rows(block):
+        """The CSV rows of one block; its arrays go when this returns."""
+        preds, P, ec_table = block
+        top = top3(P)
+        probs = np.take_along_axis(P, top, axis=1).tolist()
+        # max-prob builds no table: its EC is one per-row dot
+        ecs = (np.einsum("ik,ik->i", P, metric.costs[preds]) if ec_table is None
+               else ec_table[np.arange(len(preds)), preds]).tolist()
+        rows = []
+        for sample_id, pred, ks, ps, ec in zip(itertools.islice(ids, len(preds)),
+                                               preds.tolist(), top.tolist(), probs, ecs):
+            cells = [cell for k, p in zip(ks, ps) for cell in (leaf_names[k], p)]
+            cells += [None] * (6 - len(cells))  # fewer than three leaves
+            rows.append([sample_id, args.scheme, names[pred], *cells, ec])
+        return rows
+
+    # the text is whole before the file is opened: a failing block writes nothing
     _write_text(args.out, csv_text(
         ["sample_id", "scheme", "predicted_class", "p1_class", "p1_prob", "p2_class",
-         "p2_prob", "p3_class", "p3_prob", "ec"], rows))
+         "p2_prob", "p3_class", "p3_prob", "ec"],
+        itertools.chain.from_iterable(map(block_rows, blocks))))
     print(f"wrote {X.shape[0]} predictions to {args.out}")
     return 0
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
-# predict and the stand-ins are read through their home modules at call
+# predict_blocks and the stand-ins are read through their home modules at call
 # time, so that instrumentation rebinding them there sees every call.
 from . import inference, model
 from .data import Dataset
@@ -82,11 +83,13 @@ def evaluate(predictions, labels, metric: FiniteMetric, leaf_mask=None) -> EvalR
 
 def evaluate_checkpoint(ckpt: model.Checkpoint, dataset: Dataset, scheme: str) -> EvalReport:
     """Score a checkpoint's `scheme` predictions on a labelled dataset (any-node
-    maps the leaf labels to node ids) and attach the leaves-only distortion
-    report of its leaf prototypes: for a head without prototypes, the class
-    means of the embedded dataset, or the training means if a class is absent."""
+    maps the leaf labels to node ids), keeping only the predictions of each
+    row block, and attach the leaves-only distortion report of its leaf
+    prototypes: for a head without prototypes, the class means of the
+    embedded dataset, or the training means if a class is absent."""
     tax = ckpt.taxonomy
-    preds, metric, _, _ = inference.predict(ckpt, dataset.features, scheme)
+    metric, blocks = inference.predict_blocks(ckpt, dataset.features, scheme)
+    preds = np.concatenate(list(map(itemgetter(0), blocks)))  # drops each P and EC at once
     labels, leaf_mask, leaf_metric = dataset.labels, None, metric
     if scheme == "any-node":
         leaf_ids = np.array(tax.leaf_ids, dtype=np.intp)

@@ -1,8 +1,9 @@
 """Cost-aware prediction schemes over trained prototypes or a linear head.
 
-`predict` classifies a feature batch from a checkpoint: the leaf posterior
-(`model.leaf_posterior`: softmin of prototype distances, or softmax of the
-head logits), then the scheme's decision over the cost matrix. The
+`predict_blocks` classifies a feature batch from a checkpoint one row
+block at a time: the leaf posterior (`model.leaf_posterior`: softmin of
+prototype distances, or softmax of the head logits), then the scheme's
+decision over the cost matrix; `predict` joins the blocks. The
 single-sample `predict_*` functions run the same decision code on one
 embedding.
 
@@ -86,14 +87,49 @@ def _any_node_costs(metric_all: FiniteMetric, tax: Taxonomy) -> np.ndarray:
 def _decide(P: np.ndarray, costs: np.ndarray | None, scheme: str):
     """(candidate indices, EC table) of a scheme over posterior rows P.
 
-    EC[i, k] = sum_l P[i, l] * costs[k, l]. max-prob takes the posterior
-    argmax and reports the table for information only (None without costs);
-    the other schemes take the EC argmin. Ties go to the lowest index.
+    max-prob takes the posterior argmax and builds no table (EC is None);
+    the other schemes take the argmin of EC[i, k] = sum_l P[i, l] *
+    costs[k, l]. Ties go to the lowest index.
     """
-    ec = None if costs is None else P @ costs.T
     if scheme == "max-prob":
-        return np.argmax(P, axis=1), ec
+        return np.argmax(P, axis=1), None
+    ec = P @ costs.T
     return np.argmin(ec, axis=1), ec
+
+
+def predict_blocks(ckpt: model.Checkpoint, X, scheme: str):
+    """(metric, blocks): the scheme's cost matrix and an iterator over
+    consecutive row blocks of X, each a (preds, P, EC) triple as `predict`
+    returns for the whole batch.
+
+    The blocks hold at most geometry.BUDGET // (8 |candidates|) rows, so
+    the memory beyond the cost matrix is that of one block whatever n is.
+    P and preds of the prototype head do not depend on the split. EC and a
+    linear head's logits come from BLAS products, which could round a row
+    differently in another block. Each EC entry sums K nonnegative
+    products, so any two roundings agree within relative K eps, and so do
+    the decisions unless the two best candidates are that close.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme '{scheme}'")
+    tax = ckpt.taxonomy
+    if scheme == "any-node":
+        metric = taxonomy.cost_matrix(tax, "all-nodes")
+        costs = _any_node_costs(metric, tax)
+    else:
+        metric = taxonomy.cost_matrix(tax, "leaves-only")
+        costs = metric.costs
+    rows = model.leaf_prototype_rows(tax, ckpt.prototypes.class_map)
+    posteriors = model.leaf_posterior(ckpt.model, X, ckpt.prototypes.coords[rows],
+                                      ckpt.distance, ckpt.head,
+                                      max(1, geometry.BUDGET // (8 * costs.shape[0])))
+
+    def decide(P):
+        preds, ec = _decide(P, costs, scheme)
+        return preds, P, ec
+
+    # unlike a loop, map holds no block while the next one is computed
+    return metric, map(decide, posteriors)
 
 
 def predict(ckpt: model.Checkpoint, X, scheme: str):
@@ -102,22 +138,13 @@ def predict(ckpt: model.Checkpoint, X, scheme: str):
     `preds` index `metric.class_names`: the leaves-only cost matrix for
     max-prob and min-ec, the all-nodes one for any-node. `P` is the (n, K)
     leaf posterior in taxonomy leaf order and `EC` the (n, |candidates|)
-    expected-cost table.
+    expected-cost table, None for max-prob. The rows are those of
+    `predict_blocks`, concatenated.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme '{scheme}'")
-    tax = ckpt.taxonomy
-    rows = model.leaf_prototype_rows(tax, ckpt.prototypes.class_map)
-    P = model.leaf_posterior(ckpt.model, X, ckpt.prototypes.coords[rows],
-                             ckpt.distance, ckpt.head)
-    if scheme == "any-node":
-        metric = taxonomy.cost_matrix(tax, "all-nodes")
-        costs = _any_node_costs(metric, tax)
-    else:
-        metric = taxonomy.cost_matrix(tax, "leaves-only")
-        costs = metric.costs
-    preds, ec = _decide(P, costs, scheme)
-    return preds, metric, P, ec
+    metric, blocks = predict_blocks(ckpt, X, scheme)
+    preds, P, ec = zip(*blocks)
+    return (np.concatenate(preds), metric, np.concatenate(P),
+            None if ec[0] is None else np.concatenate(ec))
 
 
 def top3(P: np.ndarray) -> np.ndarray:

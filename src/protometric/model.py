@@ -418,26 +418,33 @@ def class_mean_prototypes(model: EmbeddingModel, dataset: Dataset,
 
 
 def leaf_posterior(model: EmbeddingModel, X, proto_leaf: np.ndarray | None,
-                   spec: DistanceSpec, head: LinearHead | None = None) -> np.ndarray:
-    """(n, K) leaf posterior of feature rows: the softmax of the head logits
-    with a head, else the softmin of the distances to the leaf prototypes
+                   spec: DistanceSpec, head: LinearHead | None = None, rows: int = BLOCK_ROWS):
+    """The leaf posterior of feature rows, yielded as consecutive (b, K)
+    blocks of at most `rows` rows: the softmax of the head logits with a
+    head, else the softmin of the distances to the leaf prototypes
     `proto_leaf` (taxonomy leaf order).
 
     The forward pass takes the fewest near-equal blocks of at most
-    BLOCK_ROWS rows, which bounds its memory; no block is a short tail,
-    which BLAS could round through another kernel than the long blocks.
-    The distances need no blocking: `pairwise_sqnorms` holds nothing beyond
-    its (n, K) result but O(n + K) norms, an (n, K) mask and a ~1 MiB pair
-    block, and its rows do not depend on the batch.
+    BLOCK_ROWS rows, and each of those is cut into the fewest near-equal
+    blocks of at most `rows` rows for the posterior; no block is a short
+    tail, which BLAS could round through another kernel than the long
+    blocks. So memory is bounded by the block sizes, not by n. The
+    prototype head's rows do not depend on the split: `pairwise_sqnorms`
+    and the row-wise softmax read each row alone. A head's logits come from
+    a BLAS product, which could round a row differently in another block.
+    One empty block when n == 0.
     """
     X = np.asarray(X, dtype=np.float64)
-    n_blocks = max(1, -(-X.shape[0] // BLOCK_ROWS))  # one empty block when n == 0
-    blocks = []
-    for Xb in np.array_split(X, n_blocks):
-        E = forward(model, Xb)
-        blocks.append(softmax(head_logits(head, E)) if head is not None
-                      else posterior(E, proto_leaf, spec))
-    return np.concatenate(blocks)
+    for Xb in _row_blocks(X, BLOCK_ROWS):
+        for E in _row_blocks(forward(model, Xb), rows):
+            yield (softmax(head_logits(head, E)) if head is not None
+                   else posterior(E, proto_leaf, spec))
+
+
+def _row_blocks(X: np.ndarray, most: int) -> list[np.ndarray]:
+    """The fewest near-equal row blocks of X with at most `most` rows each
+    (one empty block when X has no rows)."""
+    return np.array_split(X, max(1, -(-X.shape[0] // most)))
 
 
 def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
@@ -512,8 +519,9 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
         s_stars = [b.s_star for b in steps if b.s_star is not None]
         s_star = sum(s_stars) / len(s_stars) if s_stars else None
         proto_leaf = proto[leaf_rows] if proto is not None else None
-        P = leaf_posterior(model, X_all, proto_leaf, config.distance, head)
-        preds = np.argmax(P, axis=1)  # ties go to the lowest index
+        preds = np.concatenate([np.argmax(P, axis=1)  # ties go to the lowest index
+                                for P in leaf_posterior(model, X_all, proto_leaf,
+                                                        config.distance, head)])
         er = float(np.mean(preds != z_all))
         ac = float(np.mean(metric.costs[preds, z_all]))
         records.append(EpochRecord(epoch=epoch, l_data=l_data, l_reg=l_reg,

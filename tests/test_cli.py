@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,6 +459,74 @@ class TestCmdInfer:
         out = str(tmp_path / "ids.csv")
         assert main(["infer", ckpt, str(path), "--out", out]) == 0
         assert open(out).read().strip().split("\n")[1].startswith("sample-42,")
+
+    def test_row_blocks_write_the_bytes_of_one_pass(self, tmp_path, monkeypatch,
+                                                    four_leaf_file):
+        ckpt = self._checkpoint(tmp_path, four_leaf_file)
+        X = np.random.default_rng(3).standard_normal((1001, 4)) * 2
+        feats = self._features(tmp_path, X.tolist())
+        decide, calls = inference._decide, []
+        monkeypatch.setattr(inference, "_decide",
+                            lambda P, *rest: calls.append(len(P)) or decide(P, *rest))
+        for scheme in inference.SCHEMES:
+            written = []
+            # one block, then blocks of at most 150 rows (any-node has 7 candidates)
+            for budget in (geometry.BUDGET, 8 * 7 * 150):
+                monkeypatch.setattr(geometry, "BUDGET", budget)
+                calls.clear()
+                out = tmp_path / f"{scheme}-{budget}.csv"
+                assert main(["infer", ckpt, feats, "--scheme", scheme, "--out", str(out)]) == 0
+                written.append(out.read_bytes())
+            assert sum(calls) == 1001 and len(calls) >= 4, calls
+            assert written[0] == written[1]
+
+    def test_a_failing_block_writes_no_file(self, tmp_path, monkeypatch, four_leaf_file):
+        ckpt = self._checkpoint(tmp_path, four_leaf_file)
+        feats = self._features(tmp_path, np.zeros((400, 4)).tolist())
+        monkeypatch.setattr(geometry, "BUDGET", 8 * 4 * 100)
+        decide, calls = inference._decide, []
+
+        def failing(P, *rest):
+            calls.append(len(P))
+            if len(calls) == 3:
+                raise FloatingPointError("non-finite block")
+            return decide(P, *rest)
+
+        monkeypatch.setattr(inference, "_decide", failing)
+        out = tmp_path / "preds.csv"
+        assert main(["infer", ckpt, feats, "--out", str(out)]) == 1
+        assert calls == [100, 100, 100] and not out.exists()
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # one block's posterior, expected costs and top-3 at a time: 4N rows
+        # peak less than one (3N, K) float array above N rows, where a whole
+        # batch of them would add several
+        rng = np.random.default_rng(4)
+        lines = [f"g{i}\troot" for i in range(6)]
+        lines += [f"l{i}\tg{i % 6}" for i in range(300)]
+        tax = pm.parse_taxonomy("\n".join(lines) + "\n")
+        K = len(tax.leaf_ids)
+        model = pm.init_embedding_model("linear", 2, 4, rng=rng)
+        pi = pm.PrototypeSet(rng.standard_normal((K, 4)), tax.leaf_ids)
+        ckpt = str(tmp_path / "ckpt.json")
+        pm.save_checkpoint(ckpt, pm.Checkpoint(model, pi, pm.DistanceSpec(), tax))
+        N = 400
+        feats = {}
+        for n in (N, 4 * N):
+            feats[n] = tmp_path / f"f{n}.csv"
+            feats[n].write_text("f0,f1\n" + "".join(
+                f"{a!r},{b!r}\n" for a, b in rng.standard_normal((n, 2)).tolist()))
+        for scheme in inference.SCHEMES:
+            peak = {}
+            for n in (N, 4 * N):
+                tracemalloc.start()
+                try:
+                    assert main(["infer", ckpt, str(feats[n]), "--scheme", scheme,
+                                 "--out", str(tmp_path / "p.csv")]) == 0
+                    peak[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak[4 * N] - peak[N] < 3 * N * K * 8, (scheme, peak)
 
     @pytest.mark.parametrize("mutate", [
         pytest.param(lambda p: p["prototypes"]["class_map"].__setitem__(0, 999),

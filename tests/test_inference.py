@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import protometric as pm
-from protometric import DistanceSpec, PrototypeSet
-from protometric.inference import _decide, top3
+from protometric import DistanceSpec, PrototypeSet, geometry, inference
+from protometric.inference import SCHEMES, _decide, top3
 
 from conftest import distance, random_taxonomy_with_leaves
 
@@ -293,6 +293,49 @@ def test_batch_predict_matches_single_sample_functions(scheme):
         np.testing.assert_array_equal(P[i], one.posterior)
         if one.expected_costs is not None:
             np.testing.assert_allclose(ec[i], one.expected_costs, rtol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("kind", ["euclidean", "squared-euclidean", "huber", "linear-head"])
+def test_row_blocks_match_one_pass(monkeypatch, scheme, kind):
+    # 2003 rows in six near-equal blocks of at most 350 rows, one row short
+    # in some, against one block of all of them
+    rng = np.random.default_rng(13)
+    tax = random_taxonomy_with_leaves(9, rng)
+    K = len(tax.leaf_ids)
+    model = pm.init_embedding_model("mlp", 5, 3, hidden=(8,), rng=rng)
+    pi = PrototypeSet(rng.standard_normal((K, 3)), tax.leaf_ids)
+    head = pm.LinearHead(K, 3, rng.standard_normal(4 * K)) if kind == "linear-head" else None
+    spec = DistanceSpec("euclidean" if head else kind, 0.5)
+    ckpt = pm.Checkpoint(model, pi, spec, tax, head)
+    X = rng.standard_normal((2003, 5)) * 3
+
+    monkeypatch.setattr(geometry, "BUDGET", 1 << 62)
+    preds, metric, P, ec = pm.predict(ckpt, X, scheme)
+    candidates = len(metric.class_names)
+    monkeypatch.setattr(geometry, "BUDGET", 8 * candidates * 350)
+    _, blocks = inference.predict_blocks(ckpt, X, scheme)
+    blocked_preds, blocked_P, blocked_ec = zip(*blocks)
+    sizes = [len(b) for b in blocked_preds]
+    assert len(sizes) == 6 and max(sizes) == 334 and min(sizes) == 333, sizes
+
+    # the prototype head computes each row alone; the linear head's logits
+    # are a BLAS product, which keeps its bits under near-equal splits too
+    np.testing.assert_array_equal(np.concatenate(blocked_P), P)
+    if scheme == "max-prob":
+        assert ec is None and set(blocked_ec) == {None}
+        np.testing.assert_array_equal(np.concatenate(blocked_preds), preds)
+        return
+    # EC is a BLAS product of K nonnegative terms per entry: any two
+    # summation orders agree within relative K eps, and so do the decisions
+    # unless the two best candidates are that close
+    blocked_ec, blocked_preds = np.concatenate(blocked_ec), np.concatenate(blocked_preds)
+    bound = K * np.finfo(np.float64).eps * ec
+    assert np.all(np.abs(blocked_ec - ec) <= bound)
+    best, second = np.sort(ec, axis=1)[:, :2].T
+    near = second - best <= 2 * bound.max(axis=1)
+    np.testing.assert_array_equal(blocked_preds[~near], preds[~near])
+    assert np.all(ec[near, blocked_preds[near]] - best[near] <= 2 * bound.max(axis=1)[near])
 
 
 @settings(max_examples=200, deadline=None)

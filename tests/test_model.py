@@ -156,7 +156,7 @@ class TestLeafPosterior:
             X = rng.standard_normal((n, 5))
             for h in (None, head):
                 rows.clear()
-                blocked = leaf_posterior(model, X, coords, EUC, h)
+                blocked = np.concatenate(list(leaf_posterior(model, X, coords, EUC, h)))
                 assert sum(rows) == n and max(rows) <= BLOCK_ROWS, rows
                 if n > BLOCK_ROWS:
                     assert min(rows) >= n // -(-n // BLOCK_ROWS), rows
@@ -172,10 +172,10 @@ class TestLeafPosterior:
         coords = rng.standard_normal((4, 3))
         head = pm.LinearHead(4, 3, rng.standard_normal(16))
         E = pm.forward(model, X)
-        np.testing.assert_array_equal(leaf_posterior(model, X, coords, EUC),
-                                      pm.posterior(E, coords, EUC))
-        np.testing.assert_array_equal(leaf_posterior(model, X, None, EUC, head),
-                                      softmax(head_logits(head, E)))
+        [P] = leaf_posterior(model, X, coords, EUC)
+        np.testing.assert_array_equal(P, pm.posterior(E, coords, EUC))
+        [P] = leaf_posterior(model, X, None, EUC, head)
+        np.testing.assert_array_equal(P, softmax(head_logits(head, E)))
 
 
 class TestDataLoss:

@@ -67,8 +67,8 @@ def test_sweep_runs_are_byte_identical(tmp_path):
     assert n > 50 and f"{n} files, {n} byte-identical" in out.getvalue()
 
     # a drifted byte fails; a covered file passes within its bound only
-    infer = tmp_path / "b" / "infer" / "cross-entropy" / "max-prob.csv"
-    infer.write_text(infer.read_text().replace("max-prob", "max-prib", 1))
+    infer = tmp_path / "b" / "infer" / "cross-entropy" / "min-ec.csv"
+    infer.write_text(infer.read_text().replace("min-ec", "min-ex", 1))
     disto = tmp_path / "b" / "embed" / "disto-euclidean-leaves-d2" / "distortion.json"
     report = json.loads(disto.read_text())
     report["scale_free_distortion"] *= 1 + 1e-10
@@ -94,15 +94,19 @@ def test_sweep_runs_are_byte_identical(tmp_path):
     assert {"train/fixed-proto-rank/checkpoint_seed0.json",
             "embed/rank-euclidean-leaves-d2/prototypes.csv",
             "train/rank/checkpoint_seed0.json"} <= sweep._files(a)
-    assert not any(fnmatch.fnmatchcase("train/cross-entropy/checkpoint_seed0.json", pattern)
-                   for pattern in sweep.TOLERANCES)
+    assert not any(fnmatch.fnmatchcase(name, pattern) for pattern in sweep.TOLERANCES
+                   for name in ("train/cross-entropy/checkpoint_seed0.json",
+                                "infer/cross-entropy/min-ec.csv"))
+    # the head arms' max-prob `ec` cell is a per-row dot, not read off a GEMM
+    for arm in ("cross-entropy", "cross-entropy-any-node", "soft-labels", "wide"):
+        assert sweep.TOLERANCES[f"infer/{arm}/*max-prob.csv"] == ("csv", 3e-14)
     ce_eval = tmp_path / "b" / "eval" / "cross-entropy" / "train-max-prob" / "eval.json"
     ce_report = json.loads(ce_eval.read_text())
     ce_report["distortion"]["distortion"] *= 1 + 1e-12
     ce_eval.write_text(json.dumps(ce_report))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert sweep.diff_trees(a, b) == 1
-    assert "differs: infer/cross-entropy/max-prob.csv" in out.getvalue()
+    assert "differs: infer/cross-entropy/min-ec.csv" in out.getvalue()
     assert "within tolerance: eval/cross-entropy/train-max-prob/eval.json" in out.getvalue()
     assert "within tolerance: embed/disto-euclidean-leaves-d2/distortion.json" in out.getvalue()
     assert "within tolerance: infer/disto/max-prob.csv" in out.getvalue()
@@ -110,7 +114,7 @@ def test_sweep_runs_are_byte_identical(tmp_path):
     disto.write_text(json.dumps(report))
     ce_report["er"] += 1e-6
     ce_eval.write_text(json.dumps(ce_report))
-    infer.write_text(infer.read_text().replace("max-prib", "max-prob", 1))
+    infer.write_text(infer.read_text().replace("min-ex", "min-ec", 1))
     cells[2] = "b2y" if cells[2] != "b2y" else "a1x"  # the predicted class
     tolerated.write_text("\n".join([header, ",".join(cells), *rest]))
     with contextlib.redirect_stdout(io.StringIO()) as out:
