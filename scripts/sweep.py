@@ -9,7 +9,9 @@
 regularizer, distance kind, schedule, optimizer, architecture and scheme
 (two seeds each), `eval` with every scheme on full and on class-missing
 data, `infer` with every scheme on every checkpoint, `eval` and `infer` on
-files of more than 4096 rows, `infer` on a 120-leaf checkpoint over several
+copies of the data with a quoted cell and CRLF line ends (tables the array
+reader leaves to the row loop), `eval` and `infer` on files of more than
+4096 rows, `infer` on a 120-leaf checkpoint over several
 posterior blocks, and `embed` for each regularizer and distance kind. The
 commands run in one process under `--threads 1`, from OUT so that the
 echoed paths are relative. `--src` picks the source tree to run (default:
@@ -156,6 +158,15 @@ def _derive_csv(src: str, dst: str, rows=slice(None), features: bool = False,
     _write(dst, out.getvalue())
 
 
+def _deferred_csv(src: str, dst: str, column: int) -> None:
+    """Copy a CSV with its first row's cell in `column` quoted and CRLF line
+    ends: the same table, which `data.read_numeric` leaves to `read_table`."""
+    with open(src, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][column] = f'"{rows[1][column]}"'
+    _write(dst, "".join(",".join(row) + "\r\n" for row in rows))
+
+
 def _balanced_tree(branching) -> str:
     """Edge list of a tree whose nodes at depth d have branching[d] children."""
     lines, level = [], ["w"]
@@ -194,6 +205,8 @@ def run_matrix(out: str, src: str, tiny: bool) -> None:
          "--out", "data/train.csv")
     _derive_csv("data/train.csv", "data/features.csv", features=True)
     _derive_csv("data/train.csv", "data/missing.csv", drop="b2y")
+    _deferred_csv("data/train.csv", "data/quoted.csv", -1)
+    _deferred_csv("data/features.csv", "data/quoted_features.csv", 0)
     if not tiny:
         # 4104 labelled and 4097 feature rows: more than one forward block
         # each, where a 4096-row block would leave a short tail that BLAS
@@ -223,6 +236,9 @@ def run_matrix(out: str, src: str, tiny: bool) -> None:
                      "--out", f"eval/{arm}/big-{scheme}")
                 call("infer", ckpt, "data/big_features.csv", "--scheme", scheme,
                      "--out", f"infer/{arm}/big-{scheme}.csv")
+        if arm == "disto":  # the row loop's reading of the data
+            call("eval", ckpt, "data/quoted.csv", "tax.tsv", "--out", "eval/disto/quoted")
+            call("infer", ckpt, "data/quoted_features.csv", "--out", "infer/disto/quoted.csv")
 
     if not tiny:
         # the wide arm: `infer` runs its rows through several posterior

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .formats import Record, csv_text, json_text, parse_json, read_table
+from .formats import Record, csv_text, json_text, parse_json
 
 if TYPE_CHECKING:
     from .model import TrainConfig
@@ -261,12 +261,12 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     import numpy as np
 
+    from .data import read_numeric
     from .inference import predict_blocks, top3
     from .model import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
-    ids, feats = read_table(args.features, "id")
-    X = np.asarray(feats, dtype=np.float64)
+    ids, X = read_numeric(args.features, "id")
     if X.shape[1] != ckpt.model.input_dim:
         raise ValueError(f"feature dimension {X.shape[1]} does not match the "
                          f"model input dimension {ckpt.model.input_dim}")

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import DataError, csv_text, read_table
+from .formats import DataError, csv_text, open_table, read_table
 from .taxonomy import Taxonomy
 
 
@@ -90,13 +92,87 @@ def gen_hierarchical_gaussians(tax: Taxonomy, per_class: int, dims: int,
     return Dataset(np.vstack(blocks), np.concatenate(labels), tax.leaf_names)
 
 
+class _Defer(Exception):
+    """`np.loadtxt` could read the table otherwise than `read_table`."""
+
+
+def _checked_lines(fh):
+    """The non-blank lines of a table, the header first. Raises _Defer at a
+    line that loadtxt could read otherwise than csv and `float`: one whose
+    comma count differs from the header's (usecols would hide it), one as
+    long as csv's field limit (csv rejects a longer field), and one holding
+    a quote (csv unquotes), a carriage return (csv ends a row at it) or one
+    of \\x1c-\\x1f (loadtxt strips them around a number, `float` does not).
+    """
+    limit = csv.field_size_limit()
+    commas = None
+    for line in fh:
+        if line == "\n":
+            continue
+        if commas is None:
+            commas = line.count(",")
+        if (line.count(",") != commas or len(line) >= limit or '"' in line or "\r" in line
+                or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+            raise _Defer
+        yield line
+
+
+def _loadtxt(fh, text_column: str, required: bool):
+    """`read_numeric` by two streamed `np.loadtxt` passes over fh."""
+    lines = _checked_lines(fh)
+    header = [h.strip() for h in next(lines, "").rstrip("\n").split(",")]
+    pos = header.index(text_column) if text_column in header else None
+    numeric = [i for i in range(len(header)) if i != pos]
+    if (pos is None and required) or not numeric:
+        raise _Defer
+    first = next(lines, None)
+    if first is None:  # no header or no rows
+        raise _Defer
+    X = np.loadtxt(itertools.chain([first], lines), delimiter=",", usecols=numeric,
+                   comments=None, ndmin=2)
+    if not np.isfinite(X).all():
+        raise _Defer
+    if pos is None:
+        return None, X
+    fh.seek(0)
+    lines = _checked_lines(fh)
+    next(lines)
+    # object cells are the line's own strings: a str array would pad every
+    # cell to the longest one and drop trailing NULs
+    texts = np.loadtxt(lines, dtype=object, delimiter=",", usecols=[pos],
+                       comments=None, ndmin=2)
+    return texts[:, 0].tolist(), X
+
+
+def read_numeric(source, text_column: str, required: bool = False):
+    """(texts, X): the table `formats.read_table` reads, its numeric columns
+    as one (n, d) float64 array X.
+
+    The numeric cells are parsed in C by `np.loadtxt` as the file streams
+    past, and the text column in a second pass; neither holds the file's
+    text. Where loadtxt and `read_table` could disagree (see
+    `_checked_lines`, and a cell loadtxt rejects, a non-finite value, an
+    empty file, no rows or a missing label column), `read_table` reads the
+    table instead: it decides, and it names a bad row and column. Text
+    cells come back unstripped, as `read_table` returns them.
+    """
+    with open_table(source) as fh:
+        if fh.seekable():  # a pipe is read once, by the loop
+            try:
+                return _loadtxt(fh, text_column, required)
+            except (_Defer, ValueError):  # ValueError: a cell loadtxt rejects, or bad UTF-8
+                fh.seek(0)
+        texts, values = read_table(fh, text_column, required)
+    return texts, np.array(values, dtype=np.float64)
+
+
 def load_csv(text_or_path, label_column: str, tax: Taxonomy) -> Dataset:
     """Dataset from a CSV file with numeric feature columns and a label column.
 
     Accepts a path or raw CSV text. Feature order follows column order;
     labels are resolved against the taxonomy leaf names.
     """
-    names, features = read_table(text_or_path, label_column, required=True)
+    names, features = read_numeric(text_or_path, label_column, required=True)
     leaf_index = {name: k for k, name in enumerate(tax.leaf_names)}
     labels = [leaf_index.get(name.strip()) for name in names]
     if None in labels:

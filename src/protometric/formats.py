@@ -1,5 +1,10 @@
 """File formats: one JSON codec for records, one CSV reader and one CSV writer.
 
+The CSV reader, `read_table`, is a row loop over `csv.reader` and `float`.
+`data.read_numeric` reads tables into arrays through `np.loadtxt` and falls
+back to this loop wherever the two could disagree, so the loop decides those
+tables, names their bad rows and columns, and is the tests' oracle.
+
 A record is a dataclass that mixes in `Record`. Its JSON keys are its field
 names (field metadata "key" renames one), and an absent key takes the field
 default. `from_dict` rejects an unknown key, a section that is not an object
@@ -175,17 +180,28 @@ def _rows(fh):
         raise DataError(f"row {r + 1}: {exc}") from None
 
 
+def open_table(source):
+    """The text stream of a table: `source` is a path, CSV text when it is a
+    string holding a newline, or a text stream, which comes back as it is."""
+    if isinstance(source, io.TextIOBase):
+        return source
+    if isinstance(source, str) and "\n" in source:
+        return io.StringIO(source)
+    return open(source, "r", encoding="utf-8")
+
+
 def read_table(source, text_column: str, required: bool = False):
     """(texts, values) of a CSV table with a header row; blank lines skipped.
 
-    `source` is a path, or CSV text when it is a string holding a newline.
-    Every column but `text_column` must hold finite numbers: `values` has one
+    `source` is a path, CSV text when it is a string holding a newline, or
+    a text stream (`open_table`), read from where it stands. Every column but `text_column` must hold finite numbers: `values` has one
     float list per row. `texts` has the text column's cells, or is None when
     the header lacks it; `required` makes it a label column that must exist.
     Rows are parsed as they are read, so the file is never held whole.
+    `data.read_numeric` is the CLI's reader; this loop is its fallback on
+    the tables loadtxt could read otherwise, and its oracle in the tests.
     """
-    is_text = isinstance(source, str) and "\n" in source
-    with io.StringIO(source) if is_text else open(source, "r", encoding="utf-8") as fh:
+    with open_table(source) as fh:
         rows = _rows(fh)
         header = [h.strip() for h in next(rows, [])]
         if not header:

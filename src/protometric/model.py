@@ -17,8 +17,8 @@ import numpy as np
 from .data import Dataset
 from .distortion import PrototypeSet, disto_loss, fit_prototypes, rank_loss, sample_triplets
 from .formats import Record, csv_text, json_text, parse_json
-from .geometry import (DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract,
-                       pairwise_sqnorms)
+from .geometry import (BUDGET, DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm,
+                       pair_contract, pairwise_sqnorms)
 from .optim import OptimizerSpec, TrainingDivergedError, make_optimizer
 from .taxonomy import FiniteMetric, Taxonomy, cost_matrix
 
@@ -496,6 +496,7 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
             value, dmodel, dhead = _head_loss(Xb, zb, model, head, target_table)
             return LossBreakdown(value, 0.0, value, None), {"model": dmodel, "head": dhead}
     opt = make_optimizer(config.optimizer)
+    eval_rows = max(1, BUDGET // (8 * K))  # posterior rows per block of the epoch evaluation
 
     records = []
     for epoch in range(1, config.epochs + 1):
@@ -521,7 +522,7 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
         proto_leaf = proto[leaf_rows] if proto is not None else None
         preds = np.concatenate([np.argmax(P, axis=1)  # ties go to the lowest index
                                 for P in leaf_posterior(model, X_all, proto_leaf,
-                                                        config.distance, head)])
+                                                        config.distance, head, eval_rows)])
         er = float(np.mean(preds != z_all))
         ac = float(np.mean(metric.costs[preds, z_all]))
         records.append(EpochRecord(epoch=epoch, l_data=l_data, l_reg=l_reg,

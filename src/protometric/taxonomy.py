@@ -277,7 +277,12 @@ def cost_matrix(tax: Taxonomy, nodes: str = "leaves-only") -> FiniteMetric:
     order = [first[i] for i in selected]
     lca_depth = lca_depth[np.ix_(order, order)]
     sel_depth = tax.depth[list(selected)]
-    D = sel_depth[:, None] + sel_depth[None, :] - 2.0 * lca_depth
+    # (a + b) - 2c in place, so that at most two K x K arrays live at once;
+    # doubling is exact, so the bits are those of the plain expression
+    D = sel_depth[:, None] + sel_depth[None, :]
+    lca_depth *= 2.0
+    D -= lca_depth
+    del lca_depth  # FiniteMetric copies D
     np.fill_diagonal(D, 0.0)
     names = tuple(tax.nodes[i].name for i in selected)
     if not np.isfinite(D).all():  # finite depths near the float limit overflow the sums above

@@ -563,6 +563,21 @@ class TestCmdInfer:
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_long_finite_cell_exits_2(self, tmp_path, capsys):
+        # loadtxt would read the cell as 0.0; csv's field limit rejects it
+        tax = pm.parse_taxonomy(FOUR_LEAF)
+        rng = np.random.default_rng(0)
+        model = pm.init_embedding_model("linear", 1, 2, rng=rng)
+        pi = pm.PrototypeSet(rng.standard_normal((4, 2)), tax.leaf_ids)
+        ckpt = str(tmp_path / "ckpt.json")
+        pm.save_checkpoint(ckpt, pm.Checkpoint(model, pi, pm.DistanceSpec(), tax))
+        feats = tmp_path / "wide.csv"
+        feats.write_text("id,f0\nr0,1.0\nr1,0." + "0" * 200_000 + "\n")
+        capsys.readouterr()
+        assert main(["infer", ckpt, str(feats), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == ("error: row 3: field larger than field limit "
+                                           "(131072)\n")
+
     def test_dimension_mismatch_exits_2(self, tmp_path, four_leaf_file):
         ckpt = self._checkpoint(tmp_path, four_leaf_file)
         path = tmp_path / "narrow.csv"

@@ -1,10 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protometric as pm
-from protometric import DataError
+from protometric import DataError, data
+from protometric.data import read_numeric
+from protometric.formats import read_table
 
 from conftest import random_taxonomy
 
@@ -117,6 +121,109 @@ class TestLoadCsv:
         path.write_text("x,label\n1.5,a2\n")
         ds = pm.load_csv(str(path), "label", toy_tax)
         assert ds.n == 1
+
+
+def _outcome(read, source, column, required):
+    try:
+        texts, X = read(source, column, required)
+    except DataError as exc:
+        return str(exc)
+    X = np.asarray(X, dtype=np.float64)  # read_table's float lists
+    return texts, X.shape, X.view(np.int64).tolist()
+
+
+def assert_reads_as_the_loop(source, column="label", required=True):
+    """read_numeric gives read_table's texts and bits, or its DataError text."""
+    assert (_outcome(read_numeric, source, column, required)
+            == _outcome(read_table, source, column, required))
+
+
+# cells the two parsers could read apart: all that float() and loadtxt both
+# take, all that only one of them takes, and CSV structure (commas, quotes,
+# line breaks, "#")
+TRICKY = [" 1.5", "1.5 ", "+1", ".5", "1.", "-0.0", "5e-324", "1_000", "\u0661", "0x10",
+          "nan", "inf", "-inf", "1e309", "#1", '"1"', "1\x1c", "\x1f2", "", "  ", "\t1",
+          "\xa01", "1\x00", "1,2", "1\r", "1\r\n2"]
+NUMBER_CELLS = st.one_of(st.floats().map(repr), st.sampled_from(TRICKY),
+                         st.text(alphabet="0123456789.eE+-_ \t\x0b\x0c\x1c\x1f\xa0\u0661#\"\r"
+                                          "naifxj,\n\x00", max_size=8))
+TEXT_CELLS = st.one_of(st.text(alphabet='ab1 \t"#,\r\n\x00\x1c\xe9\ufeff', max_size=6),
+                       st.sampled_from(['"a"', '"a""b"', '" a"', '""']))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(NUMBER_CELLS, NUMBER_CELLS, TEXT_CELLS), max_size=4),
+       st.booleans())
+def test_read_numeric_reads_any_cells_as_the_loop(rows, labelled):
+    if labelled:
+        text = "x,y,label\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows)
+    else:  # a feature file: no text column
+        text = "x,y\n" + "".join(f"{a},{b}\n" for a, b, _ in rows)
+    assert_reads_as_the_loop(text, "label", labelled)
+
+
+TABLES = {
+    "plain": "x,y,label\n1.5,-2,a1\n3,4e-3,b1\n",
+    "extra-cell": "x,y,label\n1,2,a1\n3,4,b,5\n",
+    "missing-cell": "x,y,label\n1,2,a1\n3,b1\n",
+    "hash-row": "x,y,label\n1,2,a1\n#3,4,b1\n",
+    "hash-label": "x,y,label\n1,2,#a1\n",
+    "quoted": 'x,y,label\n"1",2,"a1"\n3,4,"b,1"\n',
+    "quoted-label": 'x,y,label\n1,2,"a1"\n',
+    "crlf": "x,y,label\r\n1,2,a1\r\n3,4,b1\r\n",
+    "cr-in-header": "x,y\ry\n1,2\n",
+    "blank-lines": "\nx,y,label\n\n1,2,a1\n\n\n3,4,b1\n\n",
+    "whitespace-line": "x,y,label\n1,2,a1\n  \n3,4,b1\n",
+    "whitespace-line-one-column": "x\n1\n \n2\n",
+    "padded-labels": "x,label\n1, a1 \n2,\tb1\n",
+    "bom": "\ufeffx,y,label\n1,2,a1\n",
+    "bom-on-label": "\ufefflabel,x\na1,1\n",
+    "header-only": "x,y,label\n",
+    "blank": "\n\n",
+    "no-label-column": "x,y\n1,2\n",
+    "only-the-label-column": "label\na1\n",
+    "no-final-newline": "x,label\n1,a1\n2,b1",
+}
+
+
+@pytest.mark.parametrize("required", [True, False])
+@pytest.mark.parametrize("as_file", [False, True], ids=["text", "file"])
+@pytest.mark.parametrize("name", TABLES)
+def test_read_numeric_reads_tables_as_the_loop(tmp_path, name, as_file, required):
+    source = TABLES[name]
+    if as_file:
+        path = tmp_path / "table.csv"
+        path.write_bytes(source.encode("utf-8"))
+        source = str(path)
+    assert_reads_as_the_loop(source, "label", required)
+
+
+@pytest.mark.parametrize("name", ["plain", "blank-lines", "padded-labels", "bom",
+                                  "no-label-column", "no-final-newline"])
+def test_clean_tables_never_reach_the_loop(tmp_path, monkeypatch, name):
+    path = tmp_path / "table.csv"
+    path.write_bytes(TABLES[name].replace("\n", "\r\n").encode("utf-8"))  # files: any line end
+    want = _outcome(read_table, str(path), "label", False)
+
+    def loop(*args):
+        raise AssertionError("deferred to read_table")
+
+    monkeypatch.setattr(data, "read_table", loop)
+    assert _outcome(read_numeric, str(path), "label", False) == want
+    assert _outcome(read_numeric, TABLES[name], "label", False) == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_read_numeric_reads_a_pipe_once():
+    # a pipe cannot be read twice: the loop reads it
+    r, w = os.pipe()
+    os.write(w, TABLES["plain"].encode("utf-8"))
+    os.close(w)
+    try:
+        got = _outcome(read_numeric, f"/dev/fd/{r}", "label", True)
+    finally:
+        os.close(r)
+    assert got == _outcome(read_table, TABLES["plain"], "label", True)
 
 
 class TestSplit:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -482,6 +483,29 @@ class TestTrain:
         result = pm.train(ds, tax, metric, config, np.random.default_rng(0))
         assert result.history.records[-1].train_er == 0.0
         assert result.history.records[-1].train_ac == 0.0
+
+    def test_epoch_evaluation_memory_does_not_grow_with_the_rows(self):
+        # the epoch's posterior runs on budget-sized row blocks: 4N rows peak
+        # less than one (3N, K) float array above N rows
+        lines = [f"g{i}\troot" for i in range(6)]
+        lines += [f"l{i}\tg{i % 6}" for i in range(300)]
+        tax = pm.parse_taxonomy("\n".join(lines) + "\n")
+        metric = pm.cost_matrix(tax)
+        K = len(tax.leaf_ids)
+        config = TrainConfig(m=4, architecture="linear", hidden=(), epochs=1,
+                             regularizer="none")
+        rng = np.random.default_rng(5)
+        N = 400
+        peak = {}
+        for n in (N, 4 * N):
+            ds = pm.Dataset(rng.standard_normal((n, 2)), np.arange(n) % K, tax.leaf_names)
+            tracemalloc.start()
+            try:
+                pm.train(ds, tax, metric, config, np.random.default_rng(0))
+                peak[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak[4 * N] - peak[N] < 3 * N * K * 8, peak
 
     def test_lambda_zero_matches_regularizer_none_exactly(self):
         rng = np.random.default_rng(1)

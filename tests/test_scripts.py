@@ -65,6 +65,15 @@ def test_sweep_runs_are_byte_identical(tmp_path):
         assert sweep.diff_trees(a, b) == 0
     n = len(sweep._files(a))
     assert n > 50 and f"{n} files, {n} byte-identical" in out.getvalue()
+    # the copies that the array reader defers read as the data they copy
+    run_a = tmp_path / "a"
+    assert b'"' in (run_a / "data" / "quoted.csv").read_bytes()
+    assert b'\r\n"' in (run_a / "data" / "quoted_features.csv").read_bytes()
+    for quoted, plain in (("infer/disto/quoted.csv", "infer/disto/max-prob.csv"),
+                          ("eval/disto/quoted/eval.json", "eval/disto/train-max-prob/eval.json"),
+                          ("eval/disto/quoted/confusion.csv",
+                           "eval/disto/train-max-prob/confusion.csv")):
+        assert (run_a / quoted).read_bytes() == (run_a / plain).read_bytes(), quoted
 
     # a drifted byte fails; a covered file passes within its bound only
     infer = tmp_path / "b" / "infer" / "cross-entropy" / "min-ec.csv"

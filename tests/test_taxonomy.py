@@ -1,6 +1,7 @@
 import importlib
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -232,6 +233,24 @@ def test_cost_matrix_slices_equal_block_writes(seed, n_nodes, weighted, fmt):
             continue
         np.testing.assert_array_equal(pm.cost_matrix(tax, nodes).costs,
                                       block_write_cost_matrix(tax, nodes))
+
+
+def test_cost_matrix_peaks_near_twice_its_result():
+    # the lca depths and the sum live at once, then FiniteMetric's copy of D;
+    # the tree has the 1000-leaf infer benchmark's shape
+    edges = [f"n{i}\troot" for i in range(10)]
+    edges += [f"n{i}_{j}\tn{i}" for i in range(10) for j in range(10)]
+    edges += [f"n{i}_{j}_{k}\tn{i}_{j}" for i in range(10) for j in range(10)
+              for k in range(10)]
+    tax = pm.parse_taxonomy("\n".join(edges) + "\n")
+    for nodes in ("leaves-only", "all-nodes"):
+        tracemalloc.start()
+        try:
+            costs = pm.cost_matrix(tax, nodes).costs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * costs.nbytes, (nodes, peak / costs.nbytes)
 
 
 def row_loop_validate_metric(D, tol=0.0):
