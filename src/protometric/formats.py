@@ -187,7 +187,7 @@ def open_table(source):
         return source
     if isinstance(source, str) and "\n" in source:
         return io.StringIO(source)
-    return open(source, "r", encoding="utf-8")
+    return open(source, "r", encoding="utf-8-sig")
 
 
 def read_table(source, text_column: str, required: bool = False):

@@ -10,9 +10,10 @@ All three are strictly increasing functions of the Euclidean norm, which
 downstream nearest-prototype search relies on.
 
 Squared norms come from one kernel, `pairwise_sqnorms`, for every pair of
-two row sets: the dot-product expansion, with the entries that expansion
-cannot get to relative accuracy TAU recomputed from explicit differences
-by `pair_sqnorms`. Every entry is then within relative TAU of the
+two row sets: the dot-product expansion, whose cross term is a GEMM (the
+posterior alone uses the row-independent einsum), with the entries that
+expansion cannot get to relative accuracy TAU recomputed from explicit
+differences by `pair_sqnorms`. Every entry is then within relative TAU of the
 explicit-difference value, and each row minimum, its lowest-index argmin
 and each exact zero equal it bit for bit. `pair_contract` turns per-pair
 weights into row gradients.
@@ -81,14 +82,16 @@ BUDGET = 1 << 20  # bytes of one block of pair differences in pair_sqnorms
 TAU = 2.0 ** -40  # relative accuracy of every pairwise_sqnorms entry
 
 
-def pairwise_sqnorms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def pairwise_sqnorms(X: np.ndarray, Y: np.ndarray, *, row_independent: bool = False) -> np.ndarray:
     """(n, k) squared Euclidean norms between rows of X and rows of Y.
 
-    Computed by the expansion |x|^2 + |y|^2 - 2 x.y, with the cross term from
-    `einsum` rather than BLAS: each output row then depends on its input row
-    alone, so a row computed alone equals the same row inside a batch. The
-    only temporaries beyond the (n, k) result are O(n + k) norms, an (n, k)
-    mask and one `pair_sqnorms` block.
+    Computed by the expansion |x|^2 + |y|^2 - 2 x.y. The cross term is a
+    GEMM, `X @ Y.T`, which may round a row differently beside other rows.
+    With `row_independent` it comes from `einsum` instead, several times
+    slower: each output row then depends on its input row alone, so a row
+    computed alone equals the same row inside a batch. The posterior alone
+    asks for that. The only temporaries beyond the (n, k) result are
+    O(n + k) norms, an (n, k) mask and one `pair_sqnorms` block.
 
     The expansion cancels where x is close to y, so every entry it cannot
     vouch for is recomputed from explicit differences by `pair_sqnorms`:
@@ -102,9 +105,11 @@ def pairwise_sqnorms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     t = |x - y|^2 <= 2 s. With gamma_j = j u / (1 - j u), the explicit
     differences round to within gamma_{m+2} t <= 2 gamma_{m+2} s of t (one
     subtraction, one square and m - 1 additions per term). The expansion
-    rounds |x|^2, |y|^2 and x.y to within gamma_m of their absolute sums,
-    which costs at most gamma_m (|x| + |y|)^2 <= 2 gamma_m s, and its two
-    additions add u (|x|^2 + 2 |x.y|) + u t <= 4 u s more, to first order. So
+    rounds |x|^2, |y|^2 and x.y to within gamma_m of their absolute sums in
+    any summation order, so on either path (Higham, Accuracy and Stability
+    of Numerical Algorithms, sec. 3.1). That costs at most
+    gamma_m (|x| + |y|)^2 <= 2 gamma_m s, and its two additions add
+    u (|x|^2 + 2 |x.y|) + u t <= 4 u s more, to first order. So
     the two kernels differ by at most about E = (4m + 8) u s, within
 
         B = 2 (m + 4) (eps (|x|^2 + max_j |y_j|^2) + 2^-1073)
@@ -141,7 +146,7 @@ def pairwise_sqnorms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return np.zeros((n, k))
     x2 = np.einsum("im,im->i", X, X)
     y2 = np.einsum("km,km->k", Y, Y)
-    out = np.einsum("im,km->ik", X, Y)
+    out = np.einsum("im,km->ik", X, Y) if row_independent else X @ Y.T
     out *= -2.0
     out += x2[:, None]
     out += y2

@@ -195,16 +195,25 @@ def _softmax_xent(logits: np.ndarray, T: np.ndarray):
     return float(-np.sum(T * logp) / n), (np.exp(logp) - T) / n
 
 
+def _one_hot(z: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) one-hot rows of the class indices z, without a k x k identity."""
+    T = np.zeros((z.shape[0], k))
+    T[np.arange(z.shape[0]), z] = 1.0
+    return T
+
+
 def posterior(e, proto_coords: np.ndarray, spec: DistanceSpec) -> np.ndarray:
     """Softmin of distances to the leaf prototypes, max-shifted for stability.
 
     Accepts a single embedding (m,) or a batch (n, m); probabilities sum to 1
-    and stay finite for distances up to at least 1e6.
+    and stay finite for distances up to at least 1e6. The distances take the
+    row-independent cross term, so a row computed alone equals the same row
+    in a batch.
     """
     e = np.asarray(e, dtype=np.float64)
     single = e.ndim == 1
     E = e[None, :] if single else e
-    p = softmax(-dist_from_sqnorm(spec, pairwise_sqnorms(E, proto_coords)))
+    p = softmax(-dist_from_sqnorm(spec, pairwise_sqnorms(E, proto_coords, row_independent=True)))
     return p[0] if single else p
 
 
@@ -226,7 +235,7 @@ def data_loss(X, z, model: EmbeddingModel, pi: PrototypeSet, spec: DistanceSpec,
 
     E, cache = _forward_cache(model, X)
     sq = pairwise_sqnorms(E, P)
-    value, dlogits = _softmax_xent(-dist_from_sqnorm(spec, sq), np.eye(P.shape[0])[z])
+    value, dlogits = _softmax_xent(-dist_from_sqnorm(spec, sq), _one_hot(z, P.shape[0]))
     C = -dlogits * grad_weight_from_sqnorm(spec, sq)
     dE = pair_contract(C, E, P)
     dP = pair_contract(C.T, P, E)
@@ -360,7 +369,7 @@ def _head_loss(X, z, model: EmbeddingModel, head: LinearHead,
     z = np.asarray(z, dtype=np.intp)
     E, cache = _forward_cache(model, X)
     logits, head_cache = _forward_cache(head, E)
-    T = np.eye(head.n_classes)[z] if target_table is None else target_table[z]
+    T = _one_hot(z, head.n_classes) if target_table is None else target_table[z]
     value, dlogits = _softmax_xent(logits, T)
     dhead, dE = _backward(head, head_cache, dlogits)
     dmodel, _ = _backward(model, cache, dE)
@@ -429,9 +438,11 @@ def leaf_posterior(model: EmbeddingModel, X, proto_leaf: np.ndarray | None,
     blocks of at most `rows` rows for the posterior; no block is a short
     tail, which BLAS could round through another kernel than the long
     blocks. So memory is bounded by the block sizes, not by n. The
-    prototype head's rows do not depend on the split: `pairwise_sqnorms`
-    and the row-wise softmax read each row alone. A head's logits come from
-    a BLAS product, which could round a row differently in another block.
+    prototype head's rows do not depend on the split: every other caller of
+    `pairwise_sqnorms` takes its cross term from a GEMM, but `posterior`
+    asks for the row-independent einsum, and the row-wise softmax reads each
+    row alone. A head's logits come from a BLAS product, which could round a
+    row differently in another block.
     One empty block when n == 0.
     """
     X = np.asarray(X, dtype=np.float64)

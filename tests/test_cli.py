@@ -383,6 +383,31 @@ class TestCmdEval:
         err = capsys.readouterr().err.strip().split("\n")
         assert err == ["error: taxonomy node id 2 is 'root' but 'B' in the checkpoint"]
 
+    def test_reads_a_bom_file_whose_first_column_is_the_label(self, tmp_path, four_leaf_file):
+        # a "UTF-8 with BOM" export: the mark is no part of the first header
+        # cell, on the array reader's path and, with a quoted label, the loop's
+        data = synth_csv(tmp_path, four_leaf_file, per_class=5)
+        config = write_config(tmp_path, four_leaf_file, data, str(tmp_path / "run"),
+                              train={"epochs": 1})
+        assert main(["train", config]) == 0
+        with open(data, newline="") as fh:
+            rows = [[row[-1], *row[:-1]] for row in csv.reader(fh)]
+        assert rows[0][0] == "label"
+        paths = [data]
+        for name, first in (("bom", rows[1][0]), ("bom-quoted", f'"{rows[1][0]}"')):
+            path = tmp_path / f"{name}.csv"
+            text = "".join(",".join(row) + "\n" for row in [rows[0], [first, *rows[1][1:]],
+                                                             *rows[2:]])
+            path.write_text("\ufeff" + text, encoding="utf-8")
+            paths.append(str(path))
+        reports = []
+        for k, path in enumerate(paths):
+            out = str(tmp_path / f"eval{k}")
+            assert main(["eval", str(tmp_path / "run" / "checkpoint_seed0.json"), path,
+                         four_leaf_file, "--out", out]) == 0
+            reports.append(open(os.path.join(out, "eval.json")).read())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_missing_checkpoint_exits_2(self, tmp_path, four_leaf_file):
         data = synth_csv(tmp_path, four_leaf_file, per_class=5)
         assert main(["eval", str(tmp_path / "none.json"), data, four_leaf_file,

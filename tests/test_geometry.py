@@ -181,18 +181,20 @@ def test_expanded_sqnorms_against_explicit_differences(seed, n, k, m, layout):
         X[:n // 2] = centre
     if n and layout != "radii":
         X[rng.integers(0, n, k)] = Y  # coincident rows
-    got = geometry.pairwise_sqnorms(X, Y)
     want = one_shot_sqnorms(X, Y)
-    assert got.shape == (n, k)
-    if n == 0:
-        return
-    np.testing.assert_array_equal(got.min(axis=1), want.min(axis=1))
-    np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
-    assert np.all(got[want == 0] == 0)
-    assert np.all(np.abs(got - want) <= _row_bound(X, Y)[:, None])
-    assert np.all(np.abs(got - want) <= geometry.TAU * want)
-    for r in range(n):  # a row alone is the same row in a batch
-        np.testing.assert_array_equal(geometry.pairwise_sqnorms(X[r:r + 1], Y)[0], got[r])
+    for independent in (False, True):  # the GEMM cross term, then the einsum
+        got = geometry.pairwise_sqnorms(X, Y, row_independent=independent)
+        assert got.shape == (n, k)
+        if n == 0:
+            return
+        np.testing.assert_array_equal(got.min(axis=1), want.min(axis=1))
+        np.testing.assert_array_equal(got.argmin(axis=1), want.argmin(axis=1))
+        assert np.all(got[want == 0] == 0)
+        assert np.all(np.abs(got - want) <= _row_bound(X, Y)[:, None])
+        assert np.all(np.abs(got - want) <= geometry.TAU * want)
+    for r in range(n):  # on the einsum path a row alone is the same row in a batch
+        np.testing.assert_array_equal(
+            geometry.pairwise_sqnorms(X[r:r + 1], Y, row_independent=True)[0], got[r])
 
 
 @pytest.mark.parametrize("m", [1, 7, 64])

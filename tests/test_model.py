@@ -136,6 +136,27 @@ class TestPosterior:
             nearest = int(np.argmin(np.linalg.norm(coords - e, axis=1)))
             assert int(np.argmax(p)) == nearest
 
+    @pytest.mark.parametrize("layout", ["near", "midpoints"])
+    def test_a_row_alone_is_the_same_row_in_a_batch(self, layout):
+        # the layouts of the distance kernel's test; a GEMM cross term rounds
+        # a row alone differently from the same row in a batch
+        rng = np.random.default_rng(17)
+        n, k, m = 60, 40, 64
+        if layout == "near":  # normal draws shifted by 5, in pairs 1e-8 to 1e-2 apart
+            coords = rng.standard_normal((k, m)) + 5.0
+            dirs = rng.standard_normal((k // 2, m))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            coords[1::2] = coords[::2] + 10.0 ** rng.uniform(-8, -2, (k // 2, 1)) * dirs
+            E = coords[rng.integers(0, k, n)] + 1e-3 * rng.standard_normal((n, m))
+        else:  # ties in exact arithmetic
+            coords = rng.standard_normal((k, m)) * 10.0 ** rng.uniform(-2, 2, (k, 1))
+            E = (coords[rng.integers(0, k, n)] + coords[rng.integers(0, k, n)]) / 2
+        for spec in (EUC, DistanceSpec("squared-euclidean"), DistanceSpec("huber", 0.1)):
+            P = pm.posterior(E, coords, spec)
+            for r in range(n):
+                np.testing.assert_array_equal(pm.posterior(E[r], coords, spec), P[r])
+                np.testing.assert_array_equal(pm.posterior(E[r:r + 1], coords, spec)[0], P[r])
+
 
 class TestLeafPosterior:
     def test_blocks_match_one_block(self, monkeypatch):
