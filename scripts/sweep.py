@@ -9,8 +9,8 @@
 regularizer, distance kind, schedule, optimizer, architecture and scheme
 (two seeds each), `eval` with every scheme on full and on class-missing
 data, `infer` with every scheme on every checkpoint, `eval` and `infer` on
-copies of the data with a quoted cell and CRLF line ends (tables the array
-reader leaves to the row loop), `eval` and `infer` on files of more than
+copies of the data with a quoted cell and CRLF line ends (the CSV reader's
+quoting and line-end cases), `eval` and `infer` on files of more than
 4096 rows, `infer` on a 120-leaf checkpoint over several
 posterior blocks, and `embed` for each regularizer and distance kind. The
 commands run in one process under `--threads 1`, from OUT so that the
@@ -176,7 +176,8 @@ def _derive_csv(src: str, dst: str, rows=slice(None), features: bool = False,
 
 def _deferred_csv(src: str, dst: str, column: int) -> None:
     """Copy a CSV with its first row's cell in `column` quoted and CRLF line
-    ends: the same table, which `data.read_numeric` leaves to `read_table`."""
+    ends: the same table, read through `data.read_numeric`'s quoting and
+    line-end cases."""
     with open(src, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     rows[1][column] = f'"{rows[1][column]}"'
@@ -252,7 +253,7 @@ def run_matrix(out: str, src: str, tiny: bool) -> None:
                      "--out", f"eval/{arm}/big-{scheme}")
                 call("infer", ckpt, "data/big_features.csv", "--scheme", scheme,
                      "--out", f"infer/{arm}/big-{scheme}.csv")
-        if arm == "disto":  # the row loop's reading of the data
+        if arm == "disto":  # the data with a quoted cell and CRLF line ends
             call("eval", ckpt, "data/quoted.csv", "tax.tsv", "--out", "eval/disto/quoted")
             call("infer", ckpt, "data/quoted_features.csv", "--out", "infer/disto/quoted.csv")
 

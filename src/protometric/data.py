@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import DataError, csv_text, open_table, read_table
+from .formats import DataError, _rows, csv_text, open_table
 from .taxonomy import Taxonomy
 
 
@@ -92,78 +92,82 @@ def gen_hierarchical_gaussians(tax: Taxonomy, per_class: int, dims: int,
     return Dataset(np.vstack(blocks), np.concatenate(labels), tax.leaf_names)
 
 
-class _Defer(Exception):
-    """`np.loadtxt` could read the table otherwise than `read_table`."""
+BLOCK_ROWS = 64  # rows cast to float64 at a time: the reader holds X and one block
 
 
-def _checked_lines(fh):
-    """The non-blank lines of a table, the header first. Raises _Defer at a
-    line that loadtxt could read otherwise than csv and `float`: one whose
-    comma count differs from the header's (usecols would hide it), one as
-    long as csv's field limit (csv rejects a longer field), and one holding
-    a quote (csv unquotes), a carriage return (csv ends a row at it) or one
-    of \\x1c-\\x1f (loadtxt strips them around a number, `float` does not).
-    """
-    limit = csv.field_size_limit()
-    commas = None
-    for line in fh:
-        if line == "\n":
-            continue
-        if commas is None:
-            commas = line.count(",")
-        if (line.count(",") != commas or len(line) >= limit or '"' in line or "\r" in line
-                or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
-            raise _Defer
-        yield line
-
-
-def _loadtxt(fh, text_column: str, required: bool):
-    """`read_numeric` by two streamed `np.loadtxt` passes over fh."""
-    lines = _checked_lines(fh)
-    header = [h.strip() for h in next(lines, "").rstrip("\n").split(",")]
-    pos = header.index(text_column) if text_column in header else None
-    numeric = [i for i in range(len(header)) if i != pos]
-    if (pos is None and required) or not numeric:
-        raise _Defer
-    first = next(lines, None)
-    if first is None:  # no header or no rows
-        raise _Defer
-    X = np.loadtxt(itertools.chain([first], lines), delimiter=",", usecols=numeric,
-                   comments=None, ndmin=2)
-    if not np.isfinite(X).all():
-        raise _Defer
-    if pos is None:
-        return None, X
-    fh.seek(0)
-    lines = _checked_lines(fh)
-    next(lines)
-    # object cells are the line's own strings: a str array would pad every
-    # cell to the longest one and drop trailing NULs
-    texts = np.loadtxt(lines, dtype=object, delimiter=",", usecols=[pos],
-                       comments=None, ndmin=2)
-    return texts[:, 0].tolist(), X
+def _cast(block, r, names):
+    """The numeric cells of a block of rows, row r first, as a float64 array,
+    each read as `float` reads it (numpy calls `float` on an object cell). The
+    first cell `float` rejects or reads as non-finite raises its DataError."""
+    try:
+        cells = np.array(block, dtype=object).astype(np.float64)
+    except ValueError:  # a cell float rejects: the loop below names it
+        pass
+    else:
+        if np.isfinite(cells).all():
+            return cells
+    for r, row in enumerate(block, start=r):
+        for name, cell in zip(names, row):
+            try:
+                number = float(cell)
+            except ValueError:
+                raise DataError(f"row {r}, column {name!r}: non-numeric "
+                                f"value {cell!r}") from None
+            if not math.isfinite(number):
+                raise DataError(f"row {r}, column {name!r}: non-finite value {cell!r}")
 
 
 def read_numeric(source, text_column: str, required: bool = False):
-    """(texts, X): the table `formats.read_table` reads, its numeric columns
-    as one (n, d) float64 array X.
+    """(texts, X) of a CSV table with a header row; blank lines skipped.
 
-    The numeric cells are parsed in C by `np.loadtxt` as the file streams
-    past, and the text column in a second pass; neither holds the file's
-    text. Where loadtxt and `read_table` could disagree (see
-    `_checked_lines`, and a cell loadtxt rejects, a non-finite value, an
-    empty file, no rows or a missing label column), `read_table` reads the
-    table instead: it decides, and it names a bad row and column. Text
-    cells come back unstripped, as `read_table` returns them.
+    `source` is a path, CSV text when it is a string holding a newline, or
+    a text stream, read from where it stands and left open
+    (`formats.open_table`). Every column but `text_column` must hold finite
+    numbers: X is one (n, d) float64 array of them. `texts` has the text
+    column's cells, unstripped, or is None when the header lacks it;
+    `required` makes it a label column that must exist. `csv.reader` walks
+    the rows as they are read, and each block of BLOCK_ROWS rows is cast to
+    float64 into one growing buffer, so the reader holds X and one block,
+    never the file's text. A bad row raises a DataError naming it (and its
+    column); the first bad row in the file wins, wherever the blocks fall.
     """
     with open_table(source) as fh:
-        if fh.seekable():  # a pipe is read once, by the loop
+        rows = _rows(fh)
+        header = [h.strip() for h in next(rows, [])]
+        if not header:
+            raise DataError("empty file: no header row")
+        pos = header.index(text_column) if text_column in header else None
+        if pos is None and required:
+            raise DataError(f"label column {text_column!r} not found in header")
+        names = [h for i, h in enumerate(header) if i != pos]
+        if not names:
+            raise DataError("no numeric columns")
+        width = len(header)
+        texts = None if pos is None else []
+        seen = {}  # labels repeat: the texts share one str per value
+        values = bytearray()  # the float64 cells, row after row
+        for r in itertools.count(2, BLOCK_ROWS):  # r: the block's first row
+            block, error = [], None
             try:
-                return _loadtxt(fh, text_column, required)
-            except (_Defer, ValueError):  # ValueError: a cell loadtxt rejects, or bad UTF-8
-                fh.seek(0)
-        texts, values = read_table(fh, text_column, required)
-    return texts, np.array(values, dtype=np.float64)
+                block.extend(itertools.islice(rows, BLOCK_ROWS))
+            except DataError as exc:  # csv's; extend kept the rows before it
+                error = exc
+            if not set(map(len, block)) <= {width}:
+                n = next(i for i, row in enumerate(block) if len(row) != width)
+                error = DataError(f"row {r + n}: expected {width} cells, got {len(block[n])}")
+                del block[n:]
+            if pos is not None:
+                cells = [row.pop(pos) for row in block]
+                texts += map(seen.setdefault, cells, cells)
+            if block:
+                values += _cast(block, r, names).tobytes()
+            if error is not None:  # raised once the rows before it are read
+                raise error
+            if len(block) < BLOCK_ROWS:
+                break
+    if not values:
+        raise DataError("header only: no data rows")
+    return texts, np.frombuffer(values).reshape(-1, len(names))
 
 
 def load_csv(text_or_path, label_column: str, tax: Taxonomy) -> Dataset:

@@ -1,9 +1,7 @@
-"""File formats: one JSON codec for records, one CSV reader and one CSV writer.
+"""File formats: one JSON codec for records, the CSV row source and one CSV writer.
 
-The CSV reader, `read_table`, is a row loop over `csv.reader` and `float`.
-`data.read_numeric` reads tables into arrays through `np.loadtxt` and falls
-back to this loop wherever the two could disagree, so the loop decides those
-tables, names their bad rows and columns, and is the tests' oracle.
+`open_table` and `_rows` walk a CSV table with `csv.reader`; the one reader
+of numeric tables, `data.read_numeric`, reads its rows through them.
 
 A record is a dataclass that mixes in `Record`. Its JSON keys are its field
 names (field metadata "key" renames one), and an absent key takes the field
@@ -17,6 +15,7 @@ Imports no numpy: the CLI's run config is built before `--threads` pins BLAS.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -181,58 +180,14 @@ def _rows(fh):
 
 
 def open_table(source):
-    """The text stream of a table: `source` is a path, CSV text when it is a
-    string holding a newline, or a text stream, which comes back as it is."""
+    """A context manager giving the text stream of a table: `source` is a
+    path, CSV text when it is a string holding a newline, or a text stream,
+    which comes back as it is and stays open."""
     if isinstance(source, io.TextIOBase):
-        return source
+        return contextlib.nullcontext(source)
     if isinstance(source, str) and "\n" in source:
         return io.StringIO(source)
     return open(source, "r", encoding="utf-8-sig")
-
-
-def read_table(source, text_column: str, required: bool = False):
-    """(texts, values) of a CSV table with a header row; blank lines skipped.
-
-    `source` is a path, CSV text when it is a string holding a newline, or
-    a text stream (`open_table`), read from where it stands. Every column but `text_column` must hold finite numbers: `values` has one
-    float list per row. `texts` has the text column's cells, or is None when
-    the header lacks it; `required` makes it a label column that must exist.
-    Rows are parsed as they are read, so the file is never held whole.
-    `data.read_numeric` is the CLI's reader; this loop is its fallback on
-    the tables loadtxt could read otherwise, and its oracle in the tests.
-    """
-    with open_table(source) as fh:
-        rows = _rows(fh)
-        header = [h.strip() for h in next(rows, [])]
-        if not header:
-            raise DataError("empty file: no header row")
-        pos = header.index(text_column) if text_column in header else None
-        if pos is None and required:
-            raise DataError(f"label column {text_column!r} not found in header")
-        names = [h for i, h in enumerate(header) if i != pos]
-        if not names:
-            raise DataError("no numeric columns")
-        texts = None if pos is None else []
-        values = []
-        for r, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise DataError(f"row {r}: expected {len(header)} cells, got {len(row)}")
-            if pos is not None:
-                texts.append(row.pop(pos))
-            numbers = []
-            for name, cell in zip(names, row):
-                try:
-                    number = float(cell)
-                except ValueError:
-                    raise DataError(f"row {r}, column {name!r}: non-numeric "
-                                    f"value {cell!r}") from None
-                if not math.isfinite(number):
-                    raise DataError(f"row {r}, column {name!r}: non-finite value {cell!r}")
-                numbers.append(number)
-            values.append(numbers)
-    if not values:
-        raise DataError("header only: no data rows")
-    return texts, values
 
 
 _QUOTED = re.compile(r'[",\r\n]')

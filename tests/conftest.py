@@ -1,5 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -7,6 +9,7 @@ from scipy.special import expit
 import protometric as pm
 from protometric import geometry
 from protometric.distortion import l2_scale
+from protometric.formats import DataError, _rows, open_table
 from protometric.geometry import (EUCLIDEAN, TAU, DistanceSpec, dist_from_sqnorm,
                                   grad_weight_from_sqnorm)
 from protometric.model import _backward, _forward_cache, _softmax_xent
@@ -299,3 +302,52 @@ def linear_head_loss(X, z, model: pm.EmbeddingModel, head: pm.LinearHead,
     value, dlogits = _softmax_xent(logits, T)
     dmodel, _ = _backward(model, cache, dlogits @ W)
     return logits, value, dmodel, np.concatenate([(dlogits.T @ E).ravel(), dlogits.sum(axis=0)])
+
+
+# ---------------------------------------------------------------------------
+# The CSV row loop that data.read_numeric replaced, kept as its oracle
+# ---------------------------------------------------------------------------
+
+def read_table(source, text_column: str, required: bool = False):
+    """(texts, values) of a CSV table with a header row; blank lines skipped.
+
+    `source` is a path, CSV text when it is a string holding a newline, or
+    a text stream (`open_table`), read from where it stands. Every column but `text_column` must hold finite numbers: `values` has one
+    float list per row. `texts` has the text column's cells, or is None when
+    the header lacks it; `required` makes it a label column that must exist.
+    Rows are parsed as they are read, so the file is never held whole.
+    `data.read_numeric` reads tables a block of rows at a time; this loop,
+    one row and one cell at a time, is its oracle.
+    """
+    with open_table(source) as fh:
+        rows = _rows(fh)
+        header = [h.strip() for h in next(rows, [])]
+        if not header:
+            raise DataError("empty file: no header row")
+        pos = header.index(text_column) if text_column in header else None
+        if pos is None and required:
+            raise DataError(f"label column {text_column!r} not found in header")
+        names = [h for i, h in enumerate(header) if i != pos]
+        if not names:
+            raise DataError("no numeric columns")
+        texts = None if pos is None else []
+        values = []
+        for r, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise DataError(f"row {r}: expected {len(header)} cells, got {len(row)}")
+            if pos is not None:
+                texts.append(row.pop(pos))
+            numbers = []
+            for name, cell in zip(names, row):
+                try:
+                    number = float(cell)
+                except ValueError:
+                    raise DataError(f"row {r}, column {name!r}: non-numeric "
+                                    f"value {cell!r}") from None
+                if not math.isfinite(number):
+                    raise DataError(f"row {r}, column {name!r}: non-finite value {cell!r}")
+                numbers.append(number)
+            values.append(numbers)
+    if not values:
+        raise DataError("header only: no data rows")
+    return texts, values

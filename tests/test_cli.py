@@ -385,7 +385,7 @@ class TestCmdEval:
 
     def test_reads_a_bom_file_whose_first_column_is_the_label(self, tmp_path, four_leaf_file):
         # a "UTF-8 with BOM" export: the mark is no part of the first header
-        # cell, on the array reader's path and, with a quoted label, the loop's
+        # cell, bare and with a quoted label
         data = synth_csv(tmp_path, four_leaf_file, per_class=5)
         config = write_config(tmp_path, four_leaf_file, data, str(tmp_path / "run"),
                               train={"epochs": 1})
@@ -589,7 +589,7 @@ class TestCmdInfer:
         assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_long_finite_cell_exits_2(self, tmp_path, capsys):
-        # loadtxt would read the cell as 0.0; csv's field limit rejects it
+        # a finite cell past csv's field limit is an error, not a number
         tax = pm.parse_taxonomy(FOUR_LEAF)
         rng = np.random.default_rng(0)
         model = pm.init_embedding_model("linear", 1, 2, rng=rng)

@@ -1,4 +1,7 @@
+import io
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +11,8 @@ from hypothesis import strategies as st
 import protometric as pm
 from protometric import DataError, data
 from protometric.data import read_numeric
-from protometric.formats import read_table
 
-from conftest import random_taxonomy
+from conftest import random_taxonomy, read_table
 
 
 class TestGenHierarchicalGaussians:
@@ -155,11 +157,23 @@ TEXT_CELLS = st.one_of(st.text(alphabet='ab1 \t"#,\r\n\x00\x1c\xe9\ufeff', max_s
 @given(st.lists(st.tuples(NUMBER_CELLS, NUMBER_CELLS, TEXT_CELLS), max_size=4),
        st.booleans())
 def test_read_numeric_reads_any_cells_as_the_loop(rows, labelled):
+    assert_reads_as_the_loop(*_cells_table(rows, labelled))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(NUMBER_CELLS, NUMBER_CELLS, TEXT_CELLS), max_size=4),
+       st.booleans())
+def test_read_numeric_reads_any_cells_as_the_loop_one_row_at_a_time(rows, labelled):
+    with mock.patch.object(data, "BLOCK_ROWS", 1):
+        assert_reads_as_the_loop(*_cells_table(rows, labelled))
+
+
+def _cells_table(rows, labelled):
+    """(text, column, required) of a table of generated cells."""
     if labelled:
-        text = "x,y,label\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows)
-    else:  # a feature file: no text column
-        text = "x,y\n" + "".join(f"{a},{b}\n" for a, b, _ in rows)
-    assert_reads_as_the_loop(text, "label", labelled)
+        return "x,y,label\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows), "label", True
+    # a feature file: no text column
+    return "x,y\n" + "".join(f"{a},{b}\n" for a, b, _ in rows), "label", False
 
 
 TABLES = {
@@ -184,6 +198,8 @@ TABLES = {
     "only-the-label-column": "label\na1\n",
     "no-final-newline": "x,label\n1,a1\n2,b1",
 }
+TABLES.update({f"{name}-crlf": TABLES[name].replace("\n", "\r\n") for name in
+               ["blank-lines", "padded-labels", "bom", "no-label-column", "no-final-newline"]})
 
 
 @pytest.mark.parametrize("required", [True, False])
@@ -198,24 +214,75 @@ def test_read_numeric_reads_tables_as_the_loop(tmp_path, name, as_file, required
     assert_reads_as_the_loop(source, "label", required)
 
 
-@pytest.mark.parametrize("name", ["plain", "blank-lines", "padded-labels", "bom",
-                                  "no-label-column", "no-final-newline"])
-def test_clean_tables_never_reach_the_loop(tmp_path, monkeypatch, name):
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("name", TABLES)
+def test_read_numeric_reads_tables_as_the_loop_in_small_blocks(tmp_path, name, block_rows):
     path = tmp_path / "table.csv"
-    path.write_bytes(TABLES[name].replace("\n", "\r\n").encode("utf-8"))  # files: any line end
-    want = _outcome(read_table, str(path), "label", False)
+    path.write_bytes(TABLES[name].encode("utf-8"))
+    with mock.patch.object(data, "BLOCK_ROWS", block_rows):
+        for source in (TABLES[name], str(path)):
+            for required in (True, False):
+                assert_reads_as_the_loop(source, "label", required)
 
-    def loop(*args):
-        raise AssertionError("deferred to read_table")
 
-    monkeypatch.setattr(data, "read_table", loop)
-    assert _outcome(read_numeric, str(path), "label", False) == want
-    assert _outcome(read_numeric, TABLES[name], "label", False) == want
+# rows that end a table: a cell float rejects, a non-finite cell, a wrong cell
+# count and a carriage return in CSV text (csv's own error)
+FAULTS = {"non-numeric": "0x10,2,a1", "non-finite": "1,inf,a1", "short": "1,a1",
+          "long": "1,2,a1,3", "cr": "1,\r2,a1"}
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4, 64])
+@pytest.mark.parametrize("first", FAULTS)
+def test_the_first_bad_row_wins_wherever_the_blocks_fall(first, block_rows):
+    # each fault alone, and followed by a second one, on every data row from
+    # 1 to 7: before, on and after the block boundaries
+    with mock.patch.object(data, "BLOCK_ROWS", block_rows):
+        for later in [None, *FAULTS]:
+            for at in range(7):
+                for gap in (1, 2):
+                    rows = [f"{i}.5,-{i},b1" for i in range(10)]
+                    rows[at] = FAULTS[first]
+                    if later is not None:
+                        rows[at + gap] = FAULTS[later]
+                    text = "x,y,label\n" + "\n".join(rows) + "\n"
+                    want = _outcome(read_table, text, "label", True)
+                    assert isinstance(want, str) and f"row {at + 2}" in want
+                    assert _outcome(read_numeric, text, "label", True) == want, (text, want)
+
+
+def test_reader_memory_grows_with_x_alone(tmp_path):
+    # tracemalloc peak of a read: X and one block, so 4N rows peak less than
+    # 3 times X's growth above N rows (about 1.2 here); the row loop's float
+    # lists, then np.array, peak at over 7 times
+    rng = np.random.default_rng(0)
+    N, d = 2000, 8
+    peak = {}
+    for n in (N, 4 * N):
+        path = tmp_path / f"t{n}.csv"
+        path.write_text(",".join(f"f{j}" for j in range(d)) + ",label\n" + "".join(
+            ",".join(map(repr, row)) + f",c{k}\n"
+            for row, k in zip(rng.standard_normal((n, d)).tolist(),
+                              rng.integers(0, 8, n).tolist())))
+        tracemalloc.start()
+        try:
+            texts, X = read_numeric(str(path), "label", True)
+            peak[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (n, d) and len(texts) == n
+    assert peak[4 * N] - peak[N] < 3 * (3 * N * d * 8), peak
+
+
+def test_read_numeric_leaves_a_callers_stream_open():
+    stream = io.StringIO("x,label\n1,a\n")
+    texts, X = read_numeric(stream, "label")
+    assert texts == ["a"] and X.tolist() == [[1.0]]
+    assert not stream.closed
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_read_numeric_reads_a_pipe_once():
-    # a pipe cannot be read twice: the loop reads it
+    # a pipe can be read only once, as the reader reads every source
     r, w = os.pipe()
     os.write(w, TABLES["plain"].encode("utf-8"))
     os.close(w)

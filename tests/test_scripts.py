@@ -65,7 +65,7 @@ def test_sweep_runs_are_byte_identical(tmp_path):
         assert sweep.diff_trees(a, b) == 0
     n = len(sweep._files(a))
     assert n > 50 and f"{n} files, {n} byte-identical" in out.getvalue()
-    # the copies that the array reader defers read as the data they copy
+    # the quoted and CRLF copies read as the data they copy
     run_a = tmp_path / "a"
     assert b'"' in (run_a / "data" / "quoted.csv").read_bytes()
     assert b'\r\n"' in (run_a / "data" / "quoted_features.csv").read_bytes()
