@@ -174,7 +174,7 @@ def _derive_csv(src: str, dst: str, rows=slice(None), features: bool = False,
     _write(dst, out.getvalue())
 
 
-def _deferred_csv(src: str, dst: str, column: int) -> None:
+def _quoted_crlf_copy(src: str, dst: str, column: int) -> None:
     """Copy a CSV with its first row's cell in `column` quoted and CRLF line
     ends: the same table, read through `data.read_numeric`'s quoting and
     line-end cases."""
@@ -222,8 +222,8 @@ def run_matrix(out: str, src: str, tiny: bool) -> None:
          "--out", "data/train.csv")
     _derive_csv("data/train.csv", "data/features.csv", features=True)
     _derive_csv("data/train.csv", "data/missing.csv", drop="b2y")
-    _deferred_csv("data/train.csv", "data/quoted.csv", -1)
-    _deferred_csv("data/features.csv", "data/quoted_features.csv", 0)
+    _quoted_crlf_copy("data/train.csv", "data/quoted.csv", -1)
+    _quoted_crlf_copy("data/features.csv", "data/quoted_features.csv", 0)
     if not tiny:
         # 4104 labelled and 4097 feature rows: more than one forward block
         # each, where a 4096-row block would leave a short tail that BLAS

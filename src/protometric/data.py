@@ -13,17 +13,45 @@ from .formats import DataError, _rows, csv_text, open_table
 from .taxonomy import Taxonomy
 
 
+def _read_only(a, dtype) -> np.ndarray:
+    """`a` as a read-only array of `dtype`: `a` itself when nothing it views
+    can be written (every array down its chain of bases is read-only, and
+    the chain ends in memory of its own or in a read-only memoryview), else
+    a copy."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype:
+        base = a
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None or isinstance(base, memoryview) and base.readonly:
+            return a
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """A fresh array of the caller's, marked read-only so that `Dataset`
+    takes it without a copy."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus leaf-class labels aligned with a taxonomy."""
+    """Feature matrix plus leaf-class labels aligned with a taxonomy.
+
+    Both arrays are read-only. An input array is kept as it is when it is
+    read-only down to its memory, and copied otherwise, so a dataset never
+    shares memory that its caller can write to.
+    """
 
     features: np.ndarray       # (N, m_in) float64
     labels: np.ndarray         # (N,) int, index into class_names
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        X = np.array(self.features, dtype=np.float64)
-        z = np.array(self.labels, dtype=np.intp)
+        X = _read_only(self.features, np.float64)
+        z = _read_only(self.labels, np.intp)
         if X.ndim != 2 or X.shape[0] < 1:
             raise DataError("features must be a non-empty (N, m_in) matrix")
         if not np.all(np.isfinite(X)):
@@ -32,8 +60,6 @@ class Dataset:
             raise DataError("labels must be one per sample")
         if z.size and (z.min() < 0 or z.max() >= len(self.class_names)):
             raise DataError("label index out of range")
-        X.setflags(write=False)
-        z.setflags(write=False)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", z)
         object.__setattr__(self, "class_names", tuple(self.class_names))
@@ -89,7 +115,7 @@ def gen_hierarchical_gaussians(tax: Taxonomy, per_class: int, dims: int,
     for k, leaf in enumerate(tax.leaf_ids):
         blocks.append(means[leaf] + noise * rng.standard_normal((per_class, dims)))
         labels.append(np.full(per_class, k, dtype=np.intp))
-    return Dataset(np.vstack(blocks), np.concatenate(labels), tax.leaf_names)
+    return Dataset(_sealed(np.vstack(blocks)), _sealed(np.concatenate(labels)), tax.leaf_names)
 
 
 BLOCK_ROWS = 64  # rows cast to float64 at a time: the reader holds X and one block
@@ -123,7 +149,7 @@ def read_numeric(source, text_column: str, required: bool = False):
     `source` is a path, CSV text when it is a string holding a newline, or
     a text stream, read from where it stands and left open
     (`formats.open_table`). Every column but `text_column` must hold finite
-    numbers: X is one (n, d) float64 array of them. `texts` has the text
+    numbers: X is one read-only (n, d) float64 array of them. `texts` has the text
     column's cells, unstripped, or is None when the header lacks it;
     `required` makes it a label column that must exist. `csv.reader` walks
     the rows as they are read, and each block of BLOCK_ROWS rows is cast to
@@ -167,7 +193,7 @@ def read_numeric(source, text_column: str, required: bool = False):
                 break
     if not values:
         raise DataError("header only: no data rows")
-    return texts, np.frombuffer(values).reshape(-1, len(names))
+    return texts, np.frombuffer(memoryview(values).toreadonly()).reshape(-1, len(names))
 
 
 def load_csv(text_or_path, label_column: str, tax: Taxonomy) -> Dataset:
@@ -224,6 +250,6 @@ def split(dataset: Dataset, test_fraction: float,
         train_idx.extend(members[perm[n_test:]].tolist())
     train_idx = sorted(train_idx)
     test_idx = sorted(test_idx)
-    make = lambda idx: Dataset(dataset.features[idx], dataset.labels[idx],
+    make = lambda idx: Dataset(_sealed(dataset.features[idx]), _sealed(dataset.labels[idx]),
                                dataset.class_names)
     return make(train_idx), make(test_idx)

@@ -110,7 +110,9 @@ def evaluate_checkpoint(ckpt: model.Checkpoint, dataset: Dataset, scheme: str) -
 
 def aggregate_reports(per_seed: list[dict], how: str) -> dict:
     """Median or mean over seeds of the `EvalReport.to_dict()` figures and SFD."""
-    average = np.median if how == "median" else np.mean
+    average = {"median": np.median, "mean": np.mean}.get(how)
+    if average is None:
+        raise ValueError(f"unknown aggregation '{how}'")
     values = {key: [r[key] for r in per_seed if r[key] is not None]
               for key in ("er", "ac", "l_er", "r_er")}
     values["scale_free_distortion"] = [r["distortion"]["scale_free_distortion"]

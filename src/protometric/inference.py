@@ -102,13 +102,14 @@ def predict_blocks(ckpt: model.Checkpoint, X, scheme: str):
     consecutive row blocks of X, each a (preds, P, EC) triple as `predict`
     returns for the whole batch.
 
-    The blocks hold at most geometry.BUDGET // (8 |candidates|) rows, so
-    the memory beyond the cost matrix is that of one block whatever n is.
-    P and preds of the prototype head do not depend on the split. EC and a
-    linear head's logits come from BLAS products, which could round a row
-    differently in another block. Each EC entry sums K nonnegative
-    products, so any two roundings agree within relative K eps, and so do
-    the decisions unless the two best candidates are that close.
+    The blocks are those of `model.leaf_posterior`, so the memory beyond
+    the cost matrix is that of one block whatever n is; a block's EC table
+    is |candidates| / K times its P. P and preds of the prototype head do
+    not depend on the split. EC and a linear head's logits come from BLAS
+    products, which could round a row differently in another block. Each
+    EC entry sums K nonnegative products, so any two roundings agree within
+    relative K eps, and so do the decisions unless the two best candidates
+    are that close.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme '{scheme}'")
@@ -121,8 +122,7 @@ def predict_blocks(ckpt: model.Checkpoint, X, scheme: str):
         costs = metric.costs
     rows = model.leaf_prototype_rows(tax, ckpt.prototypes.class_map)
     posteriors = model.leaf_posterior(ckpt.model, X, ckpt.prototypes.coords[rows],
-                                      ckpt.distance, ckpt.head,
-                                      max(1, geometry.BUDGET // (8 * costs.shape[0])))
+                                      ckpt.distance, ckpt.head)
 
     def decide(P):
         preds, ec = _decide(P, costs, scheme)

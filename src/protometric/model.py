@@ -14,11 +14,12 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
+from . import geometry
 from .data import Dataset
 from .distortion import PrototypeSet, disto_loss, fit_prototypes, rank_loss, sample_triplets
 from .formats import Record, csv_text, json_text, parse_json
-from .geometry import (BUDGET, DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm,
-                       pair_contract, pairwise_sqnorms)
+from .geometry import (DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract,
+                       pairwise_sqnorms)
 from .optim import OptimizerSpec, TrainingDivergedError, make_optimizer
 from .taxonomy import FiniteMetric, Taxonomy, cost_matrix
 
@@ -29,7 +30,7 @@ HEADS = ("prototypes", "cross-entropy", "soft-labels")
 SCHEDULES = ("joint", "fixed-proto")
 
 CHECKPOINT_VERSION = 1
-BLOCK_ROWS = 4096  # most feature rows `leaf_posterior` runs forward at once
+BLOCK_ROWS = 4096  # most feature rows one forward pass holds
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +121,42 @@ def _activate(name: str, h: np.ndarray) -> np.ndarray:
 
 
 def forward(model: EmbeddingModel, x) -> np.ndarray:
-    """Embed one feature vector (m_in,) or a batch (n, m_in)."""
+    """Embed one feature vector (m_in,) or a batch (n, m_in), filled from the
+    blocks of `_forward_blocks`, so that one block's activations are alive
+    at a time."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x
+    blocks = _forward_blocks(model, X)  # checks the width first
+    E = np.empty((X.shape[0], model.output_dim))
+    start = 0
+    for Eb in blocks:
+        E[start:start + Eb.shape[0]] = Eb
+        start += Eb.shape[0]
+        del Eb  # copied: it need not live while the next block runs
+    return E[0] if single else E
+
+
+def _forward_blocks(model: EmbeddingModel, X: np.ndarray):
+    """The embeddings of the feature rows X (n, m_in), as an iterator over
+    the fewest near-equal blocks of at most BLOCK_ROWS rows, each checked
+    finite (one empty block when n == 0): the one loop over feature rows.
+
+    No block is a short tail, which BLAS could round through another kernel
+    than the long blocks, so the rows equal those of one unblocked pass.
+    The input width is checked before any block runs.
+    """
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(f"expected input dimension {model.input_dim}, got {X.shape}")
-    E, _ = _forward_cache(model, X)
-    if not np.all(np.isfinite(E)):
-        raise FloatingPointError("non-finite activation output")
-    return E[0] if single else E
+
+    def blocks():
+        for Xb in _row_blocks(X, BLOCK_ROWS):
+            E = _forward_cache(model, Xb)[0]  # the layer cache dies here, not at the yield
+            if not np.all(np.isfinite(E)):
+                raise FloatingPointError("non-finite activation output")
+            yield E
+            del E  # a block the caller has let go of dies before the next one runs
+    return blocks()
 
 
 def _forward_cache(model: EmbeddingModel | LinearHead, X: np.ndarray):
@@ -427,29 +454,27 @@ def class_mean_prototypes(model: EmbeddingModel, dataset: Dataset,
 
 
 def leaf_posterior(model: EmbeddingModel, X, proto_leaf: np.ndarray | None,
-                   spec: DistanceSpec, head: LinearHead | None = None, rows: int = BLOCK_ROWS):
+                   spec: DistanceSpec, head: LinearHead | None = None):
     """The leaf posterior of feature rows, yielded as consecutive (b, K)
-    blocks of at most `rows` rows: the softmax of the head logits with a
-    head, else the softmin of the distances to the leaf prototypes
-    `proto_leaf` (taxonomy leaf order).
+    blocks: the softmax of the head logits with a head, else the softmin of
+    the distances to the leaf prototypes `proto_leaf` (taxonomy leaf order).
 
-    The forward pass takes the fewest near-equal blocks of at most
-    BLOCK_ROWS rows, and each of those is cut into the fewest near-equal
-    blocks of at most `rows` rows for the posterior; no block is a short
-    tail, which BLAS could round through another kernel than the long
-    blocks. So memory is bounded by the block sizes, not by n. The
-    prototype head's rows do not depend on the split: every other caller of
-    `pairwise_sqnorms` takes its cross term from a GEMM, but `posterior`
-    asks for the row-independent einsum, and the row-wise softmax reads each
-    row alone. A head's logits come from a BLAS product, which could round a
-    row differently in another block.
+    Each block of `_forward_blocks` is cut into the fewest near-equal
+    blocks of at most geometry.BUDGET // (8 K) rows, read at call time, so
+    one (b, K) float array takes at most about BUDGET bytes, whatever n is.
+    The prototype head's rows do not depend on the split: every other
+    caller of `pairwise_sqnorms` takes its cross term from a GEMM, but
+    `posterior` asks for the row-independent einsum, and the row-wise
+    softmax reads each row alone. A head's logits come from a BLAS product,
+    which could round a row differently in another block.
     One empty block when n == 0.
     """
-    X = np.asarray(X, dtype=np.float64)
-    for Xb in _row_blocks(X, BLOCK_ROWS):
-        for E in _row_blocks(forward(model, Xb), rows):
-            yield (softmax(head_logits(head, E)) if head is not None
-                   else posterior(E, proto_leaf, spec))
+    K = head.n_classes if head is not None else proto_leaf.shape[0]
+    rows = max(1, geometry.BUDGET // (8 * K))
+    for E in _forward_blocks(model, np.asarray(X, dtype=np.float64)):
+        for Eb in _row_blocks(E, rows):
+            yield (softmax(head_logits(head, Eb)) if head is not None
+                   else posterior(Eb, proto_leaf, spec))
 
 
 def _row_blocks(X: np.ndarray, most: int) -> list[np.ndarray]:
@@ -507,7 +532,6 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
             value, dmodel, dhead = _head_loss(Xb, zb, model, head, target_table)
             return LossBreakdown(value, 0.0, value, None), {"model": dmodel, "head": dhead}
     opt = make_optimizer(config.optimizer)
-    eval_rows = max(1, BUDGET // (8 * K))  # posterior rows per block of the epoch evaluation
 
     records = []
     for epoch in range(1, config.epochs + 1):
@@ -533,7 +557,7 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
         proto_leaf = proto[leaf_rows] if proto is not None else None
         preds = np.concatenate([np.argmax(P, axis=1)  # ties go to the lowest index
                                 for P in leaf_posterior(model, X_all, proto_leaf,
-                                                        config.distance, head, eval_rows)])
+                                                        config.distance, head)])
         er = float(np.mean(preds != z_all))
         ac = float(np.mean(metric.costs[preds, z_all]))
         records.append(EpochRecord(epoch=epoch, l_data=l_data, l_reg=l_reg,

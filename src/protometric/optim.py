@@ -23,6 +23,13 @@ class OptimizerSpec(Record):
             raise ValueError(f"unknown optimizer '{self.kind}'")
         if not 0 < self.lr < np.inf:
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
+        if not 0 <= self.momentum < np.inf:
+            raise ValueError(f"momentum must be nonnegative and finite, got {self.momentum}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 class TrainingDivergedError(FloatingPointError):

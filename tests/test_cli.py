@@ -276,6 +276,21 @@ class TestCmdTrain:
         assert code == 1 and len(err) == 1, err
         assert err[0].startswith("error: ") and "lr=1e+300" in err[0]
 
+    @pytest.mark.parametrize("optimizer, field", [({"beta1": 1.0}, "beta1"),
+                                                  ({"eps": 0.0}, "eps"),
+                                                  ({"kind": "sgd", "momentum": -3.0},
+                                                   "momentum")])
+    def test_unusable_optimizer_value_exits_2(self, tmp_path, four_leaf_file, optimizer,
+                                              field):
+        # beta1 = 1 and eps = 0 exited 1 on non-finite parameters; momentum
+        # -3 trained and exited 0
+        data = synth_csv(tmp_path, four_leaf_file, per_class=8)
+        config = write_config(tmp_path, four_leaf_file, data, str(tmp_path / "run"),
+                              train={"epochs": 2, "optimizer": optimizer})
+        code, err = run_process("train", config)
+        assert code == 2 and len(err) == 1, err
+        assert err[0].startswith("error: ") and field in err[0]
+
     def test_missing_dataset_exits_2(self, tmp_path, four_leaf_file):
         config = write_config(tmp_path, four_leaf_file,
                               str(tmp_path / "absent.csv"), str(tmp_path / "x"))
@@ -495,8 +510,8 @@ class TestCmdInfer:
                             lambda P, *rest: calls.append(len(P)) or decide(P, *rest))
         for scheme in inference.SCHEMES:
             written = []
-            # one block, then blocks of at most 150 rows (any-node has 7 candidates)
-            for budget in (geometry.BUDGET, 8 * 7 * 150):
+            # one block, then blocks of at most 262 rows (the tree has 4 leaves)
+            for budget in (geometry.BUDGET, 8 * 4 * 262):
                 monkeypatch.setattr(geometry, "BUDGET", budget)
                 calls.clear()
                 out = tmp_path / f"{scheme}-{budget}.csv"

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import protometric as pm
 from protometric import DistanceSpec, PrototypeSet
+
+from conftest import random_taxonomy_with_leaves
 
 EUC = DistanceSpec("euclidean")
 
@@ -103,6 +106,46 @@ class TestEvaluate:
             report = pm.evaluate_checkpoint(ckpt, dataset, scheme)
             assert report.distortion == expected
             assert len(builds) == n_builds, scheme
+
+
+def test_head_checkpoint_memory_grows_with_the_embeddings_alone():
+    # the class-mean stand-ins embed every row, and the forward pass holds
+    # one block's activations at a time: above N rows, 3N rows peak less
+    # than twice E's growth (about 1.0 here), where one unblocked pass of
+    # the MLP grew by about 4 times it
+    rng = np.random.default_rng(0)
+    tax = random_taxonomy_with_leaves(8, rng)
+    model = pm.init_embedding_model("mlp", 16, 64, (32, 32), "relu", rng)
+    head = pm.LinearHead(8, 64, rng.standard_normal(8 * 64 + 8))
+    ckpt = pm.Checkpoint(model, PrototypeSet(np.zeros((8, 64)), tax.leaf_ids), EUC, tax, head)
+    N, peak = 10000, {}
+    for n in (N, 3 * N):
+        dataset = pm.Dataset(rng.standard_normal((n, 16)), np.arange(n) % 8, tax.leaf_names)
+        tracemalloc.start()
+        try:
+            report = pm.evaluate_checkpoint(ckpt, dataset, "max-prob")
+            peak[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n == n
+    assert peak[3 * N] - peak[N] < 2 * (2 * N * 64 * 8), peak
+
+
+class TestAggregateReports:
+    RUNS = [{"er": er, "ac": 2 * er, "l_er": None, "r_er": None,
+             "distortion": {"scale_free_distortion": er / 10}} for er in (0.1, 0.2, 0.6)]
+
+    def test_median_and_mean(self):
+        median = pm.aggregate_reports(self.RUNS, "median")
+        mean = pm.aggregate_reports(self.RUNS, "mean")
+        assert median["er"] == 0.2 and median["ac"] == 0.4
+        assert mean["er"] == pytest.approx(0.3) and mean["l_er"] is None
+        assert median["scale_free_distortion"] == pytest.approx(0.02)
+
+    @pytest.mark.parametrize("how", ["avg", "Median", ""])
+    def test_unknown_average_is_rejected(self, how):
+        with pytest.raises(ValueError, match="unknown aggregation"):
+            pm.aggregate_reports(self.RUNS, how)
 
 
 class TestAnyNodeVariants:

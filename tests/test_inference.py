@@ -312,8 +312,7 @@ def test_row_blocks_match_one_pass(monkeypatch, scheme, kind):
 
     monkeypatch.setattr(geometry, "BUDGET", 1 << 62)
     preds, metric, P, ec = pm.predict(ckpt, X, scheme)
-    candidates = len(metric.class_names)
-    monkeypatch.setattr(geometry, "BUDGET", 8 * candidates * 350)
+    monkeypatch.setattr(geometry, "BUDGET", 8 * K * 350)  # the posterior sizes from K
     _, blocks = inference.predict_blocks(ckpt, X, scheme)
     blocked_preds, blocked_P, blocked_ec = zip(*blocks)
     sizes = [len(b) for b in blocked_preds]

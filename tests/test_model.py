@@ -92,6 +92,28 @@ class TestForward:
             np.testing.assert_allclose(batch[i], pm.forward(model, X[i]),
                                        rtol=1e-12, atol=0)
 
+    def test_blocks_match_one_pass(self, monkeypatch):
+        # forward fills its result from blocks of at most BLOCK_ROWS rows,
+        # none a short tail, and equals one unblocked pass bit for bit
+        rng = np.random.default_rng(23)
+        model = pm.init_embedding_model("mlp", 16, 64, (32, 32), "relu", rng)
+        rows = []
+
+        def spy(net, X):
+            rows.append(X.shape[0])
+            return _forward_cache(net, X)
+
+        monkeypatch.setattr(model_module, "_forward_cache", spy)
+        for n in (0, 1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1):
+            X = rng.standard_normal((n, 16))
+            rows.clear()
+            E = forward(model, X)
+            assert sum(rows) == n and max(rows) <= BLOCK_ROWS, rows
+            assert len(rows) == max(1, -(-n // BLOCK_ROWS)), rows
+            np.testing.assert_array_equal(E, _forward_cache(model, X)[0])
+        x = rng.standard_normal(16)
+        np.testing.assert_array_equal(forward(model, x), _forward_cache(model, x[None, :])[0][0])
+
     def test_input_gradient_matches_finite_differences(self):
         # the gradient wrt the input rows, which the linear head passes back
         rng = np.random.default_rng(3)
@@ -168,12 +190,14 @@ class TestLeafPosterior:
         coords = rng.standard_normal((4, 3))
         head = pm.LinearHead(4, 3, rng.standard_normal(16))
         rows = []
+        blocks = model_module._forward_blocks
 
         def spy(net, X):
-            rows.append(X.shape[0])
-            return forward(net, X)
+            for E in blocks(net, X):
+                rows.append(E.shape[0])
+                yield E
 
-        monkeypatch.setattr(model_module, "forward", spy)
+        monkeypatch.setattr(model_module, "_forward_blocks", spy)
         for n in (0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 6000, 2 * BLOCK_ROWS + 1):
             X = rng.standard_normal((n, 5))
             for h in (None, head):
@@ -182,7 +206,7 @@ class TestLeafPosterior:
                 assert sum(rows) == n and max(rows) <= BLOCK_ROWS, rows
                 if n > BLOCK_ROWS:
                     assert min(rows) >= n // -(-n // BLOCK_ROWS), rows
-                E = forward(model, X)
+                E, _ = _forward_cache(model, X)
                 whole = (softmax(head_logits(h, E)) if h is not None
                          else pm.posterior(E, coords, EUC))
                 np.testing.assert_array_equal(blocked, whole)
