@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .formats import Record, csv_text, json_text, parse_json
+from .formats import Record, csv_text, json_text, parse_json, read_text, write_text
 
 if TYPE_CHECKING:
     from .model import TrainConfig
@@ -75,30 +75,11 @@ def _check_seeds(name: str, seeds) -> tuple[int, ...]:
     return seeds
 
 
-def _write_text(path: str, text: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _write_json(path: str, payload) -> None:
-    _write_text(path, json_text(payload))
-
-
 def _echo(args, *drop, **extra) -> dict:
     """A command's config echo: its arguments less the output path and
     `drop`, updated by `extra`."""
     skip = {"threads", "command", "func", "out", *drop}
     return {**{k: v for k, v in vars(args).items() if k not in skip}, **extra}
-
-
-def _read_taxonomy(path: str, fmt: str):
-    from .taxonomy import parse_taxonomy
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_taxonomy(fh.read(), format=fmt)
 
 
 def _prototypes_csv(pi, tax) -> str:
@@ -112,11 +93,11 @@ def _prototypes_csv(pi, tax) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_cost(args) -> int:
-    from .taxonomy import cost_matrix, metric_to_csv
+    from .taxonomy import cost_matrix, metric_to_csv, parse_taxonomy
 
-    tax = _read_taxonomy(args.taxonomy, args.format)
+    tax = parse_taxonomy(read_text(args.taxonomy), args.format)
     metric = cost_matrix(tax, "all-nodes" if args.nodes == "all" else "leaves-only")
-    _write_text(args.out, metric_to_csv(metric))
+    write_text(args.out, metric_to_csv(metric))
     print(f"wrote {metric.size}x{metric.size} cost matrix to {args.out}")
     return 0
 
@@ -127,7 +108,7 @@ def cmd_embed(args) -> int:
     from .distortion import PrototypeSet, distortion_report, fit_prototypes
     from .geometry import DistanceSpec
     from .optim import OptimizerSpec, TrainingDivergedError
-    from .taxonomy import cost_matrix
+    from .taxonomy import cost_matrix, parse_taxonomy
 
     for flag, value in (("--steps", args.steps), ("--dim", args.dim),
                         ("--triplets", args.triplets)):
@@ -135,7 +116,7 @@ def cmd_embed(args) -> int:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     _check_seed("--seed", args.seed)
     OptimizerSpec(lr=args.lr)  # rejects a --lr that is not positive and finite
-    tax = _read_taxonomy(args.taxonomy, args.format)
+    tax = parse_taxonomy(read_text(args.taxonomy), args.format)
     metric = cost_matrix(tax, "all-nodes" if args.nodes == "all" else "leaves-only")
     node_ids = (tuple(range(tax.n_nodes)) if args.nodes == "all"
                 else tax.leaf_ids)
@@ -150,18 +131,17 @@ def cmd_embed(args) -> int:
     pi = PrototypeSet(coords, node_ids)
     report = distortion_report(pi, metric, spec)
     out = args.out
-    _write_text(os.path.join(out, "prototypes.csv"), _prototypes_csv(pi, tax))
-    _write_json(os.path.join(out, "distortion.json"), report.to_dict())
-    _write_json(os.path.join(out, "embed_config.json"),
-                _echo(args, "delta", distance=spec.to_dict()))
+    write_text(os.path.join(out, "prototypes.csv"), _prototypes_csv(pi, tax))
+    write_text(os.path.join(out, "distortion.json"), json_text(report.to_dict()))
+    write_text(os.path.join(out, "embed_config.json"),
+               json_text(_echo(args, "delta", distance=spec.to_dict())))
     print(f"scale-free distortion {report.scale_free_distortion:.3e} "
           f"-> {out}")
     return 0
 
 
 def _load_run_config(args) -> RunConfig:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = RunConfig.from_dict(parse_json(fh.read()))
+    cfg = RunConfig.from_dict(parse_json(read_text(args.config)))
 
     def given(**flags):
         return {name: value for name, value in flags.items() if value is not None}
@@ -180,11 +160,7 @@ def _load_run_config(args) -> RunConfig:
     if not out:
         root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
         out = os.path.join(root, os.path.splitext(os.path.basename(args.config))[0])
-    cfg = replace(cfg, output_dir=out)
-    for path in (cfg.taxonomy_path, cfg.dataset_path):
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"referenced path does not exist: {path}")
-    return cfg
+    return replace(cfg, output_dir=out)
 
 
 def cmd_train(args) -> int:
@@ -193,10 +169,10 @@ def cmd_train(args) -> int:
     from .data import load_csv, split
     from .evaluation import aggregate_reports, evaluate_checkpoint
     from .model import Checkpoint, save_checkpoint, train
-    from .taxonomy import cost_matrix
+    from .taxonomy import cost_matrix, parse_taxonomy
 
     cfg = _load_run_config(args)
-    tax = _read_taxonomy(cfg.taxonomy_path, cfg.taxonomy_format)
+    tax = parse_taxonomy(read_text(cfg.taxonomy_path), cfg.taxonomy_format)
     metric = cost_matrix(tax, "leaves-only")
     dataset = load_csv(cfg.dataset_path, cfg.label_column, tax)
     out = cfg.output_dir
@@ -207,26 +183,25 @@ def cmd_train(args) -> int:
         train_set, test_set = split(dataset, cfg.test_fraction, rng)
         result = train(train_set, tax, metric, cfg.train, rng)
         if not per_seed:  # `train` has checked its inputs: the run directory may start
-            _write_json(os.path.join(out, "config.json"), cfg.to_dict())
+            write_text(os.path.join(out, "config.json"), json_text(cfg.to_dict()))
 
         tag = f"seed{seed}"
         ckpt = Checkpoint(model=result.model, prototypes=result.prototypes,
                           distance=cfg.train.distance, taxonomy=tax, head=result.head)
         save_checkpoint(os.path.join(out, f"checkpoint_{tag}.json"), ckpt)
-        _write_text(os.path.join(out, f"history_{tag}.csv"), result.history.to_csv())
-        _write_text(os.path.join(out, f"prototypes_{tag}.csv"),
-                    _prototypes_csv(result.prototypes, tax))
+        write_text(os.path.join(out, f"history_{tag}.csv"), result.history.to_csv())
+        write_text(os.path.join(out, f"prototypes_{tag}.csv"),
+                   _prototypes_csv(result.prototypes, tax))
 
         report = evaluate_checkpoint(ckpt, test_set, cfg.scheme)
-        _write_json(os.path.join(out, f"eval_{tag}.json"), report.to_dict())
-        _write_text(os.path.join(out, f"confusion_{tag}.csv"),
-                    report.confusion_to_csv())
+        write_text(os.path.join(out, f"eval_{tag}.json"), json_text(report.to_dict()))
+        write_text(os.path.join(out, f"confusion_{tag}.csv"), report.confusion_to_csv())
         per_seed.append(report.to_dict())
 
     agg = aggregate_reports(per_seed, cfg.aggregate)
-    _write_json(os.path.join(out, "aggregate_eval.json"),
-                {"aggregate": cfg.aggregate, "seeds": list(cfg.seeds),
-                 "metrics": agg, "per_seed": per_seed})
+    write_text(os.path.join(out, "aggregate_eval.json"),
+               json_text({"aggregate": cfg.aggregate, "seeds": list(cfg.seeds),
+                          "metrics": agg, "per_seed": per_seed}))
     print(f"trained {len(cfg.seeds)} seed(s) -> {out}")
     return 0
 
@@ -235,9 +210,10 @@ def cmd_eval(args) -> int:
     from .data import load_csv
     from .evaluation import evaluate_checkpoint
     from .model import load_checkpoint
+    from .taxonomy import parse_taxonomy
 
     ckpt = load_checkpoint(args.checkpoint)
-    tax = _read_taxonomy(args.taxonomy, args.format)
+    tax = parse_taxonomy(read_text(args.taxonomy), args.format)
     if tax.leaf_names != ckpt.taxonomy.leaf_names:
         raise ValueError("taxonomy leaves do not match the checkpoint's classes")
     if tax.names != ckpt.taxonomy.names:
@@ -250,9 +226,9 @@ def cmd_eval(args) -> int:
     dataset = load_csv(args.dataset, args.label_column, tax)
     report = evaluate_checkpoint(ckpt, dataset, args.scheme)
     out = args.out
-    _write_json(os.path.join(out, "eval.json"), report.to_dict())
-    _write_text(os.path.join(out, "confusion.csv"), report.confusion_to_csv())
-    _write_json(os.path.join(out, "eval_config.json"), _echo(args))
+    write_text(os.path.join(out, "eval.json"), json_text(report.to_dict()))
+    write_text(os.path.join(out, "confusion.csv"), report.confusion_to_csv())
+    write_text(os.path.join(out, "eval_config.json"), json_text(_echo(args)))
     extra = "" if report.l_er is None else f" l_er={report.l_er:.4f} r_er={report.r_er}"
     print(f"er={report.er:.4f} ac={report.ac:.4f}{extra} -> {out}")
     return 0
@@ -294,7 +270,7 @@ def cmd_infer(args) -> int:
         return rows
 
     # the text is whole before the file is opened: a failing block writes nothing
-    _write_text(args.out, csv_text(
+    write_text(args.out, csv_text(
         ["sample_id", "scheme", "predicted_class", "p1_class", "p1_prob", "p2_class",
          "p2_prob", "p3_class", "p3_prob", "ec"],
         itertools.chain.from_iterable(map(block_rows, blocks))))
@@ -306,18 +282,19 @@ def cmd_synth(args) -> int:
     import numpy as np
 
     from .data import dataset_to_csv, gen_hierarchical_gaussians
+    from .taxonomy import parse_taxonomy
 
     _check_seed("--seed", args.seed)
-    tax = _read_taxonomy(args.taxonomy, args.format)
+    tax = parse_taxonomy(read_text(args.taxonomy), args.format)
     rng = np.random.default_rng(args.seed)
     dataset = gen_hierarchical_gaussians(tax, per_class=args.per_class,
                                          dims=args.dims,
                                          root_spread=args.root_spread,
                                          decay=args.decay, noise=args.noise,
                                          rng=rng)
-    _write_text(args.out, dataset_to_csv(dataset))
+    write_text(args.out, dataset_to_csv(dataset))
     meta = os.path.splitext(args.out)[0] + ".meta.json"
-    _write_json(meta, _echo(args, n=dataset.n))
+    write_text(meta, json_text(_echo(args, n=dataset.n)))
     print(f"wrote {dataset.n} samples to {args.out}")
     return 0
 

@@ -1,7 +1,8 @@
-"""File formats: one JSON codec for records, the CSV row source and one CSV writer.
+"""File formats: the one file reader and writer, the record codec and CSV.
 
-`open_table` and `_rows` walk a CSV table with `csv.reader`; the one reader
-of numeric tables, `data.read_numeric`, reads its rows through them.
+`read_text` reads a whole file and `write_text` writes one; `open_table`
+and `_rows` walk a CSV table with `csv.reader`, for the one reader of
+numeric tables, `data.read_numeric`. No other module opens a file.
 
 A record is a dataclass that mixes in `Record`. Its JSON keys are its field
 names (field metadata "key" renames one), and an absent key takes the field
@@ -23,10 +24,14 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import types
 import typing
+
+
+_READ_ENCODING = "utf-8-sig"  # every input file: read_text and open_table
 
 
 class DataError(ValueError):
@@ -167,6 +172,19 @@ class Record:
         return cls(**kwargs)
 
 
+def read_text(path) -> str:
+    """The text of the file at `path`: UTF-8, a leading byte-order mark dropped."""
+    with open(path, "r", encoding=_READ_ENCODING) as fh:
+        return fh.read()
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, creating its parent directories."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _rows(fh):
     """The non-blank rows of a CSV file; a row csv cannot read raises DataError."""
     r = 0
@@ -187,7 +205,7 @@ def open_table(source):
         return contextlib.nullcontext(source)
     if isinstance(source, str) and "\n" in source:
         return io.StringIO(source)
-    return open(source, "r", encoding="utf-8-sig")
+    return open(source, "r", encoding=_READ_ENCODING)
 
 
 _QUOTED = re.compile(r'[",\r\n]')

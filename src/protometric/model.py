@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .data import Dataset
 from .distortion import PrototypeSet, disto_loss, fit_prototypes, rank_loss, sample_triplets
-from .formats import Record, csv_text, json_text, parse_json
+from .formats import Record, csv_text, json_text, parse_json, read_text, write_text
 from .geometry import (DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract,
                        pairwise_sqnorms)
 from .optim import OptimizerSpec, TrainingDivergedError, make_optimizer
@@ -444,12 +444,14 @@ def class_mean_prototypes(model: EmbeddingModel, dataset: Dataset,
                           tax: Taxonomy) -> PrototypeSet:
     """Stand-in leaf prototypes for a head that has none, which the distortion
     diagnostics report on: the class means of the embedded samples (the zero
-    vector for a class without samples).
+    vector for a class without samples), summed one forward block at a time.
     """
-    E = forward(model, dataset.features)
-    means = np.zeros((len(tax.leaf_ids), model.output_dim))
-    for k in np.unique(dataset.labels):
-        means[k] = E[dataset.labels == k].mean(axis=0)
+    z, K = dataset.labels, len(tax.leaf_ids)
+    sums = np.full((K, model.output_dim), -0.0)  # -0.0 + x is x: for m >= 2 the masked means
+    for E, zb in zip(_forward_blocks(model, dataset.features), _row_blocks(z, BLOCK_ROWS)):
+        np.add.at(sums, zb, E)
+    counts = np.bincount(z, minlength=K)[:, None]
+    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     return PrototypeSet(means, tax.leaf_ids)
 
 
@@ -555,9 +557,13 @@ def train(dataset: Dataset, tax: Taxonomy, metric: FiniteMetric,
         s_stars = [b.s_star for b in steps if b.s_star is not None]
         s_star = sum(s_stars) / len(s_stars) if s_stars else None
         proto_leaf = proto[leaf_rows] if proto is not None else None
-        preds = np.concatenate([np.argmax(P, axis=1)  # ties go to the lowest index
-                                for P in leaf_posterior(model, X_all, proto_leaf,
-                                                        config.distance, head)])
+        try:  # a finite step can still overflow the embeddings
+            preds = np.concatenate([np.argmax(P, axis=1)  # ties go to the lowest index
+                                    for P in leaf_posterior(model, X_all, proto_leaf,
+                                                            config.distance, head)])
+        except FloatingPointError as exc:
+            raise TrainingDivergedError(
+                f"{exc} at epoch {epoch} (lr={config.optimizer.lr})") from None
         er = float(np.mean(preds != z_all))
         ac = float(np.mean(metric.costs[preds, z_all]))
         records.append(EpochRecord(epoch=epoch, l_data=l_data, l_reg=l_reg,
@@ -612,13 +618,11 @@ class Checkpoint(Record):
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text({"format_version": CHECKPOINT_VERSION, **ckpt.to_dict()}))
+    write_text(path, json_text({"format_version": CHECKPOINT_VERSION, **ckpt.to_dict()}))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = parse_json(fh.read())
+    payload = parse_json(read_text(path))
     version = payload.pop("format_version", None) if isinstance(payload, dict) else None
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")

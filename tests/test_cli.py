@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import inspect
 import io
@@ -79,6 +80,31 @@ class TestCmdCost:
         bad.write_text("root\tA\nA\troot\n")
         out = str(tmp_path / "cost.csv")
         assert main(["cost", str(bad), "--out", out]) == 2
+
+    def test_line_without_a_tab_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "spaces.tsv"
+        bad.write_text("a\troot\nb root\n")
+        assert main(["cost", str(bad), "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: expected 'child<TAB>parent[<TAB>weight]'\n")
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("edge-list", FOUR_LEAF),
+        ("json-tree", json.dumps({"name": "root", "children": [
+            {"name": "A", "weight": 2, "children": [{"name": "a1"}, {"name": "a2"}]},
+            {"name": "b1", "weight": 0.5}]})),
+    ], ids=["edge-list", "json-tree"])
+    def test_bom_taxonomy_reads_as_its_plain_copy(self, tmp_path, fmt, text):
+        # a "UTF-8 with BOM" file: the mark is no part of the first name
+        outs = []
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            tax = tmp_path / f"{name}.tax"
+            tax.write_text(prefix + text, encoding="utf-8")
+            out = tmp_path / f"{name}.csv"
+            assert main(["cost", str(tax), "--format", fmt, "--nodes", "all",
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[1] == outs[0]
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["cost", str(tmp_path / "nope.tsv"),
@@ -276,6 +302,53 @@ class TestCmdTrain:
         assert code == 1 and len(err) == 1, err
         assert err[0].startswith("error: ") and "lr=1e+300" in err[0]
 
+    def test_overflowing_epoch_evaluation_names_epoch_and_lr(self, tmp_path,
+                                                             four_leaf_file):
+        # one finite step per epoch, whose embeddings of features near 1e10
+        # overflow in the epoch's evaluation before another loss is checked
+        rows = "".join(f"1e10,{1e10 + k!r},{leaf}\n" for k in range(4)
+                       for leaf in ("a1", "a2", "b1", "b2"))
+        data = tmp_path / "far.csv"
+        data.write_text("f0,f1,label\n" + rows)
+        config = write_config(tmp_path, four_leaf_file, str(data), str(tmp_path / "run"),
+                              train={"epochs": 2, "batch_size": 64, "m": 2,
+                                     "architecture": "linear", "hidden": [],
+                                     "regularizer": "none",
+                                     "optimizer": {"kind": "sgd", "lr": 1e300}})
+        code, err = run_process("train", config)
+        assert code == 1 and err == [
+            "error: non-finite activation output at epoch 1 (lr=1e+300)"], err
+
+    def test_bom_run_config_reads_as_its_plain_copy(self, tmp_path, four_leaf_file):
+        data = synth_csv(tmp_path, four_leaf_file, per_class=6)
+        text = open(write_config(tmp_path, four_leaf_file, data, "",
+                                 train={"epochs": 2})).read()
+        outs = []
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            config = tmp_path / f"{name}.json"
+            config.write_text(prefix + text, encoding="utf-8")
+            out = tmp_path / f"run-{name}"
+            assert main(["train", str(config), "--output-dir", str(out)]) == 0
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            echo = json.loads(files.pop("config.json"))
+            assert echo.pop("output_dir") == str(out)
+            outs.append((files, echo))
+        assert outs[1] == outs[0]
+
+    def test_a_leaf_class_without_rows_keeps_its_prototype_row(self, tmp_path, four_leaf_file):
+        # `split` passes over a class without rows, with no warning; its
+        # prototype gets no data gradient, only the regularizer's
+        lines = open(synth_csv(tmp_path, four_leaf_file, per_class=6)).read().splitlines()
+        data = tmp_path / "no_b2.csv"
+        data.write_text("\n".join(l for l in lines if not l.endswith(",b2")) + "\n")
+        out = tmp_path / "run"
+        config = write_config(tmp_path, four_leaf_file, str(data), str(out),
+                              train={"epochs": 2})
+        assert run_process("train", config) == (0, [])
+        protos = list(csv.reader(open(out / "prototypes_seed0.csv")))
+        assert [row[0] for row in protos[1:]] == ["a1", "a2", "b1", "b2"]
+        assert all(np.isfinite(float(cell)) for cell in protos[4][2:])
+
     @pytest.mark.parametrize("optimizer, field", [({"beta1": 1.0}, "beta1"),
                                                   ({"eps": 0.0}, "eps"),
                                                   ({"kind": "sgd", "momentum": -3.0},
@@ -291,10 +364,12 @@ class TestCmdTrain:
         assert code == 2 and len(err) == 1, err
         assert err[0].startswith("error: ") and field in err[0]
 
-    def test_missing_dataset_exits_2(self, tmp_path, four_leaf_file):
-        config = write_config(tmp_path, four_leaf_file,
-                              str(tmp_path / "absent.csv"), str(tmp_path / "x"))
+    def test_missing_dataset_exits_2(self, tmp_path, capsys, four_leaf_file):
+        absent = str(tmp_path / "absent.csv")
+        config = write_config(tmp_path, four_leaf_file, absent, str(tmp_path / "x"))
         assert main(["train", config]) == 2
+        assert absent in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestCmdEval:
@@ -397,6 +472,19 @@ class TestCmdEval:
                      str(reordered), "--out", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert err == ["error: taxonomy node id 2 is 'root' but 'B' in the checkpoint"]
+
+    def test_taxonomy_with_other_leaves_exits_2(self, tmp_path, capsys, four_leaf_file):
+        data = synth_csv(tmp_path, four_leaf_file, per_class=5)
+        config = write_config(tmp_path, four_leaf_file, data, str(tmp_path / "run"),
+                              train={"epochs": 1})
+        assert main(["train", config]) == 0
+        renamed = tmp_path / "renamed.tsv"
+        renamed.write_text(FOUR_LEAF.replace("b2", "b3"))
+        capsys.readouterr()
+        assert main(["eval", str(tmp_path / "run" / "checkpoint_seed0.json"), data,
+                     str(renamed), "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err == (
+            "error: taxonomy leaves do not match the checkpoint's classes\n")
 
     def test_reads_a_bom_file_whose_first_column_is_the_label(self, tmp_path, four_leaf_file):
         # a "UTF-8 with BOM" export: the mark is no part of the first header
@@ -618,6 +706,35 @@ class TestCmdInfer:
         assert capsys.readouterr().err == ("error: row 3: field larger than field limit "
                                            "(131072)\n")
 
+    def test_bom_checkpoint_reads_as_its_plain_copy(self, tmp_path, four_leaf_file):
+        ckpt = self._checkpoint(tmp_path, four_leaf_file)
+        bom = tmp_path / "bom.json"
+        bom.write_text("\ufeff" + open(ckpt, encoding="utf-8").read(), encoding="utf-8")
+        feats = self._features(tmp_path, np.random.default_rng(5).standard_normal((9, 4)).tolist())
+        outs = []
+        for path in (ckpt, str(bom)):
+            for scheme in inference.SCHEMES:
+                out = tmp_path / "preds.csv"
+                assert main(["infer", path, feats, "--scheme", scheme, "--out", str(out)]) == 0
+                outs.append(out.read_bytes())
+        assert outs[3:] == outs[:3]
+
+    def test_overflowing_checkpoint_exits_1(self, tmp_path, capsys):
+        # finite weights whose embedding of a finite row is not finite
+        tax = pm.parse_taxonomy(FOUR_LEAF)
+        model = pm.init_embedding_model("linear", 2, 2, rng=np.random.default_rng(0))
+        model.params[:4] = 1e300
+        pi = pm.PrototypeSet(np.zeros((4, 2)), tax.leaf_ids)
+        ckpt = str(tmp_path / "ckpt.json")
+        pm.save_checkpoint(ckpt, pm.Checkpoint(model, pi, pm.DistanceSpec(), tax))
+        feats = tmp_path / "far.csv"
+        feats.write_text("f0,f1\n1e10,1e10\n")
+        out = tmp_path / "o.csv"
+        capsys.readouterr()
+        assert main(["infer", ckpt, str(feats), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: non-finite activation output\n"
+        assert not out.exists()
+
     def test_dimension_mismatch_exits_2(self, tmp_path, four_leaf_file):
         ckpt = self._checkpoint(tmp_path, four_leaf_file)
         path = tmp_path / "narrow.csv"
@@ -691,6 +808,27 @@ def test_importing_the_cli_loads_no_numpy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+def test_importing_formats_loads_no_numpy():
+    # the readers and writers load with the CLI, before --threads pins the BLAS pools
+    src = os.path.dirname(os.path.dirname(pm.__file__))
+    code = "import sys, protometric.formats; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
+
+
+def test_only_formats_opens_files():
+    # one reader and one writer: every other module goes through them
+    package = os.path.dirname(pm.__file__)
+    callers = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            tree = ast.parse(open(os.path.join(package, name), encoding="utf-8").read())
+            callers += [name for node in ast.walk(tree) if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name) and node.func.id == "open"]
+    assert set(callers) == {"formats.py"}, callers
 
 
 def test_records_load_no_module_the_command_does_not_run(tmp_path, toy_tax_file):

@@ -131,6 +131,26 @@ def test_head_checkpoint_memory_grows_with_the_embeddings_alone():
     assert peak[3 * N] - peak[N] < 2 * (2 * N * 64 * 8), peak
 
 
+def test_head_checkpoint_stand_ins_hold_one_block_of_embeddings():
+    # the class means sum one forward block at a time: above N rows, 3N rows
+    # peak by far less than E's growth, which holding E grew by about once
+    rng = np.random.default_rng(0)
+    tax = random_taxonomy_with_leaves(8, rng)
+    model = pm.init_embedding_model("mlp", 16, 64, (32, 32), "relu", rng)
+    head = pm.LinearHead(8, 64, rng.standard_normal(8 * 64 + 8))
+    ckpt = pm.Checkpoint(model, PrototypeSet(np.zeros((8, 64)), tax.leaf_ids), EUC, tax, head)
+    N, peak = 10000, {}
+    for n in (N, 3 * N):
+        dataset = pm.Dataset(rng.standard_normal((n, 16)), np.arange(n) % 8, tax.leaf_names)
+        tracemalloc.start()
+        try:
+            pm.evaluate_checkpoint(ckpt, dataset, "max-prob")
+            peak[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak[3 * N] - peak[N] < (2 * N * 64 * 8) / 4, peak
+
+
 class TestAggregateReports:
     RUNS = [{"er": er, "ac": 2 * er, "l_er": None, "r_er": None,
              "distortion": {"scale_free_distortion": er / 10}} for er in (0.1, 0.2, 0.6)]

@@ -648,6 +648,27 @@ class TestTrain:
             np.testing.assert_allclose(result.prototypes.coords[k],
                                        E[ds.labels == k].mean(axis=0), rtol=1e-10)
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 64, BLOCK_ROWS])
+    def test_class_mean_prototypes_sum_blocks_to_the_masked_means(self, monkeypatch,
+                                                                  block_rows):
+        # per-block class sums from -0.0 equal each class's masked mean bit
+        # for bit when m >= 2; a class without samples stands in as +0.0
+        rng = np.random.default_rng(12)
+        tax = pm.parse_taxonomy("".join(f"c{k}\troot\n" for k in range(5)))
+        monkeypatch.setattr(model_module, "BLOCK_ROWS", block_rows)
+        for m in (1, 2, 5):
+            model = pm.init_embedding_model("mlp", 3, m, (6,), "tanh", rng)
+            z = rng.integers(0, 4, 301)  # class 4 has no samples
+            ds = pm.Dataset(rng.standard_normal((301, 3)) * 3, z, tax.leaf_names)
+            coords = model_module.class_mean_prototypes(model, ds, tax).coords
+            E = forward(model, ds.features)  # the same blocks, so the same rows
+            means = np.stack([E[z == k].mean(axis=0) for k in range(4)])
+            if m == 1:  # numpy sums one contiguous column pairwise
+                np.testing.assert_allclose(coords[:4], means, rtol=1e-13)
+            else:
+                np.testing.assert_array_equal(coords[:4], means)
+            assert np.all(coords[4] == 0.0) and not np.signbit(coords[4]).any()
+
     def test_soft_labels_head_trains(self):
         rng = np.random.default_rng(8)
         tax, metric, ds = blob_dataset(rng)
@@ -683,6 +704,14 @@ class TestCheckpoint:
         ckpt = pm.load_checkpoint(path)
         assert ckpt.head is not None
         np.testing.assert_array_equal(ckpt.head.params, head.params)
+
+    def test_save_creates_missing_directories(self, tmp_path, toy_tax):
+        rng = np.random.default_rng(11)
+        model = pm.init_embedding_model("linear", 4, 3, rng=rng)
+        pi = PrototypeSet(rng.standard_normal((3, 3)), toy_tax.leaf_ids)
+        path = tmp_path / "runs" / "seed0" / "ckpt.json"
+        pm.save_checkpoint(path, pm.Checkpoint(model, pi, DistanceSpec(), toy_tax))
+        np.testing.assert_array_equal(pm.load_checkpoint(path).prototypes.coords, pi.coords)
 
     def test_boolean_in_number_array_rejected(self):
         with pytest.raises(ValueError, match="boolean"):
