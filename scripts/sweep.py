@@ -89,6 +89,10 @@ def _prototype_head_arms() -> tuple[str, ...]:
                  if train.get("head", "prototypes") == "prototypes")
 
 
+# the file kinds train, eval and infer write
+_OUTPUTS = (("train", ("json", "csv")), ("eval", ("json", "csv")), ("infer", ("csv",)))
+
+
 # Files allowed to differ in bytes, with the bound on their numbers: the
 # relative deviation of every JSON number ("json"), of every numeric CSV cell
 # with the text cells exact ("csv"), or of the pairwise distances between the
@@ -118,7 +122,7 @@ TOLERANCES = {
     "train/fixed-proto/checkpoint_seed*.json": ("json", 1e-6),
     "train/fixed-proto/prototypes_seed*.csv": ("distances", 1e-9),
     **{f"{command}/fixed-proto/*.{ext}": (ext, 1e-9)
-       for command in ("train", "eval", "infer") for ext in ("json", "csv")},
+       for command, exts in _OUTPUTS for ext in exts},
     # The prototype head's distances come from the dot-product expansion,
     # exact only around each row's minimum, with a GEMM cross term outside
     # the posterior, and the disto gradient's pair sums round with their
@@ -127,9 +131,7 @@ TOLERANCES = {
     # too; its max-prob file has the tighter entry below.
     **{f"{command}/{arm}/*.{ext}": (ext, 1e-10)
        for arm in _prototype_head_arms() if arm != "fixed-proto"
-       for command, exts in (("train", ("json", "csv")), ("eval", ("json", "csv")),
-                             ("infer", ("csv",)))
-       for ext in exts},
+       for command, exts in _OUTPUTS for ext in exts},
     **{f"train/wide/*.{ext}": (ext, 1e-10) for ext in ("json", "csv")},
     **{f"infer/wide/{scheme}.csv": ("csv", 1e-10) for scheme in ("min-ec", "any-node")},
     # Every distortion figure takes its prototype-pair distances from the

@@ -22,19 +22,19 @@ _EXPORTS = {
                   "disto_loss distortion distortion_report fit_prototypes l2_scale "
                   "optimal_scale_l1 rank_loss sample_triplets scale_free_distortion",
     "evaluation": "EvalReport aggregate_reports evaluate evaluate_checkpoint",
-    "geometry": "DistanceSpec",
+    "formats": "DistanceSpec OptimizerSpec TrainConfig",
     "inference": "Prediction PrototypeIndex build_index predict predict_any_node "
                  "predict_max_prob predict_min_expected_cost",
-    "model": "Checkpoint EmbeddingModel LinearHead LossBreakdown TrainConfig TrainHistory "
+    "model": "Checkpoint EmbeddingModel LinearHead LossBreakdown TrainHistory "
              "TrainResult data_loss finite_difference_check forward init_embedding_model "
              "leaf_prototype_rows load_checkpoint posterior save_checkpoint "
              "soft_label_targets total_loss train",
-    "optim": "Adam OptimizerSpec Sgd TrainingDivergedError make_optimizer",
+    "optim": "Adam Sgd TrainingDivergedError make_optimizer",
     "taxonomy": "FiniteMetric MetricViolation Taxonomy TaxonomyError TaxonomyNode "
                 "cost_matrix metric_to_csv parse_taxonomy validate_metric",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = (*_EXPORTS, "cli", "formats")
+_SUBMODULES = (*_EXPORTS, "cli", "geometry")
 __all__ = sorted(_HOME)
 
 

@@ -11,24 +11,17 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import pathlib
 import sys
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+import warnings
+from dataclasses import dataclass, replace
 
-from .formats import Record, csv_text, json_text, parse_json, read_text, write_text
-
-if TYPE_CHECKING:
-    from .model import TrainConfig
+from .formats import (DISTANCE_KINDS, HEADS, REGULARIZERS, SCHEMES, DistanceSpec, OptimizerSpec,
+                      Record, TrainConfig, csv_text, json_text, parse_json, read_text,
+                      write_text)
 
 OUTPUT_ROOT_ENV = "PROTOMETRIC_OUTPUT_ROOT"
-SCHEMES = ("max-prob", "min-ec", "any-node")
 AGGREGATES = ("median", "mean")
-
-
-def _default_train() -> "TrainConfig":
-    from .model import TrainConfig
-
-    return TrainConfig()
 
 
 @dataclass(frozen=True)
@@ -37,7 +30,7 @@ class RunConfig(Record):
 
     taxonomy_path: str
     dataset_path: str
-    train: TrainConfig = field(default_factory=_default_train)
+    train: TrainConfig = TrainConfig()
     output_dir: str = ""
     scheme: str = "max-prob"
     aggregate: str = "median"
@@ -106,8 +99,7 @@ def cmd_embed(args) -> int:
     import numpy as np
 
     from .distortion import PrototypeSet, distortion_report, fit_prototypes
-    from .geometry import DistanceSpec
-    from .optim import OptimizerSpec, TrainingDivergedError
+    from .optim import TrainingDivergedError
     from .taxonomy import cost_matrix, parse_taxonomy
 
     for flag, value in (("--steps", args.steps), ("--dim", args.dim),
@@ -174,7 +166,7 @@ def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     tax = parse_taxonomy(read_text(cfg.taxonomy_path), cfg.taxonomy_format)
     metric = cost_matrix(tax, "leaves-only")
-    dataset = load_csv(cfg.dataset_path, cfg.label_column, tax)
+    dataset = load_csv(pathlib.Path(cfg.dataset_path), cfg.label_column, tax)
     out = cfg.output_dir
 
     per_seed = []
@@ -223,7 +215,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"taxonomy node id {i} is {here[i]!r} but {there[i]!r} "
                          "in the checkpoint")
     ckpt = replace(ckpt, taxonomy=tax)
-    dataset = load_csv(args.dataset, args.label_column, tax)
+    dataset = load_csv(pathlib.Path(args.dataset), args.label_column, tax)
     report = evaluate_checkpoint(ckpt, dataset, args.scheme)
     out = args.out
     write_text(os.path.join(out, "eval.json"), json_text(report.to_dict()))
@@ -242,7 +234,7 @@ def cmd_infer(args) -> int:
     from .model import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
-    ids, X = read_numeric(args.features, "id")
+    ids, X = read_numeric(pathlib.Path(args.features), "id")
     if X.shape[1] != ckpt.model.input_dim:
         raise ValueError(f"feature dimension {X.shape[1]} does not match the "
                          f"model input dimension {ckpt.model.input_dim}")
@@ -334,8 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=3000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--distance", choices=("euclidean", "squared-euclidean", "huber"),
-                   default="euclidean")
+    p.add_argument("--distance", choices=DISTANCE_KINDS, default="euclidean")
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--triplets", type=int, default=10)
     p.add_argument("--out", required=True)
@@ -348,11 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seeds", default=None, help="comma-separated seed list")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--head", choices=("prototypes", "cross-entropy", "soft-labels"),
-                   default=None)
-    p.add_argument("--regularizer",
-                   choices=("disto", "disto-fixed-scale", "rank", "none"),
-                   default=None)
+    p.add_argument("--head", choices=HEADS, default=None)
+    p.add_argument("--regularizer", choices=REGULARIZERS, default=None)
     p.add_argument("--scheme", choices=SCHEMES, default=None)
     p.add_argument("--aggregate", choices=AGGREGATES, default=None)
     p.set_defaults(func=cmd_train)
@@ -388,6 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -407,8 +399,10 @@ def main(argv=None) -> int:
 
     try:
         # a numpy overflow or invalid-value warning would be a second stderr
-        # line; the explicit finite checks report the failure itself
-        with np.errstate(all="ignore"):
+        # line; the explicit finite checks report the failure itself. Any
+        # other warning is one line, without the source line Python adds.
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = _show_warning
             return args.func(args)
     except (ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .formats import Record
-from .geometry import (EUCLIDEAN, DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm,
-                       pair_contract)
-from .optim import OptimizerSpec, TrainingDivergedError, make_optimizer
+from .formats import EUCLIDEAN, DistanceSpec, OptimizerSpec, Record
+from .geometry import dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract
+from .optim import TrainingDivergedError, make_optimizer
 from .taxonomy import FiniteMetric
 
 
@@ -281,7 +280,7 @@ def rank_loss(pi: PrototypeSet, metric: FiniteMetric, spec: DistanceSpec,
     mean binary cross-entropy; gradients are analytic.
     """
     if metric.size != pi.size:
-        raise ValueError("prototype count does not match metric size")
+        raise ValueError(f"prototype count {pi.size} does not match metric size {metric.size}")
     t = batch.triplets
     if t.max() >= pi.size:
         raise ValueError("triplet index out of range")

@@ -1,4 +1,4 @@
-"""File formats: the one file reader and writer, the record codec and CSV.
+"""File formats: the one file reader and writer, the records and CSV.
 
 `read_text` reads a whole file and `write_text` writes one; `open_table`
 and `_rows` walk a CSV table with `csv.reader`, for the one reader of
@@ -11,7 +11,11 @@ and a value of the wrong JSON type with a ValueError naming the key path; a
 float field also takes a JSON integer. A float field or number array must be
 finite, which rejects a literal beyond the float range such as 1e309 (read
 as inf). Value checks stay with each class.
-Imports no numpy: the CLI's run config is built before `--threads` pins BLAS.
+
+The run-config records live here too: `DistanceSpec`, `OptimizerSpec` and
+`TrainConfig`, with the names their settings and the CLI's choices take.
+Imports no numpy: `import protometric.cli` loads this module, and numpy must
+not load before `--threads` pins the BLAS pools.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import json
 import math
 import os
 import re
-import sys
 import types
 import typing
 
@@ -76,13 +79,8 @@ def _join(path: str, key: str) -> str:
 def _fields(cls) -> dict:
     """JSON key -> (field name, type, required) per field of a record class."""
     # hints resolve in the class's own module, so a record loads no module it
-    # does not name; one its module binds only for type checking (the CLI's
-    # TrainConfig) resolves among the package's exports
-    try:
-        hints = typing.get_type_hints(cls)
-    except NameError as exc:
-        package = sys.modules[__package__]
-        hints = typing.get_type_hints(cls, localns={exc.name: getattr(package, exc.name)})
+    # does not name
+    hints = typing.get_type_hints(cls)
     return {f.metadata.get("key", f.name): (f.name, hints[f.name],
                                             f.default is dataclasses.MISSING
                                             and f.default_factory is dataclasses.MISSING)
@@ -170,6 +168,104 @@ class Record:
             elif required:
                 raise ValueError(f"missing key {_join(path, key)!r}")
         return cls(**kwargs)
+
+
+EUCLIDEAN = "euclidean"
+SQUARED_EUCLIDEAN = "squared-euclidean"
+HUBER = "huber"
+DISTANCE_KINDS = (EUCLIDEAN, SQUARED_EUCLIDEAN, HUBER)
+REGULARIZERS = ("disto", "disto-fixed-scale", "rank", "none")
+HEADS = ("prototypes", "cross-entropy", "soft-labels")
+SCHEDULES = ("joint", "fixed-proto")
+SCHEMES = ("max-prob", "min-ec", "any-node")
+
+
+@dataclasses.dataclass(frozen=True)
+class DistanceSpec(Record):
+    kind: str = EUCLIDEAN
+    delta: float = 0.1  # Huber parameter, embedding-space units
+
+    def __post_init__(self):
+        if self.kind not in DISTANCE_KINDS:
+            raise ValueError(f"unknown distance kind '{self.kind}'")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"distance delta must be finite, got {self.delta}")
+        if self.kind == HUBER and not self.delta > 0:
+            raise ValueError("huber distance needs delta > 0")
+
+
+@dataclasses.dataclass(frozen=True)
+class OptimizerSpec(Record):
+    kind: str = "adam"  # "adam" | "sgd"
+    lr: float = 1e-3
+    momentum: float = 0.0   # sgd only
+    beta1: float = 0.9      # adam only
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+    def __post_init__(self):
+        if self.kind not in ("adam", "sgd"):
+            raise ValueError(f"unknown optimizer '{self.kind}'")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
+        if not 0 <= self.momentum < math.inf:
+            raise ValueError(f"momentum must be nonnegative and finite, got {self.momentum}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+
+
+def _check_widths(hidden) -> None:
+    for width in hidden:
+        if width < 1:
+            raise ValueError(f"hidden layer width {width} must be >= 1")
+
+
+@dataclasses.dataclass(frozen=True)
+class TrainConfig(Record):
+    """Hyper-parameters for one training run.
+
+    `lam` is the regularization strength (serialized as "lambda"); `beta`
+    is the soft-labels sharpness (targets use exp(-beta * cost), i.e. a
+    temperature of 1/beta). Architecture fields describe the embedding
+    model built by `model.train`.
+    """
+
+    lam: float = dataclasses.field(default=1.0, metadata={"key": "lambda"})
+    regularizer: str = "disto"
+    head: str = "prototypes"
+    beta: float = 10.0
+    distance: DistanceSpec = DistanceSpec()
+    m: int = 64
+    include_internal_prototypes: bool = False
+    schedule: str = "joint"
+    optimizer: OptimizerSpec = OptimizerSpec()
+    epochs: int = 50
+    batch_size: int = 32
+    triplet_count: int = 10
+    architecture: str = "mlp"
+    hidden: tuple[int, ...] = (32, 32)
+    activation: str = "relu"
+
+    def __post_init__(self):
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
+        if self.regularizer not in REGULARIZERS:
+            raise ValueError(f"unknown regularizer '{self.regularizer}'")
+        if self.head not in HEADS:
+            raise ValueError(f"unknown head '{self.head}'")
+        if self.schedule not in SCHEDULES:
+            raise ValueError(f"unknown schedule '{self.schedule}'")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if self.epochs < 1 or self.batch_size < 1 or self.m < 1:
+            raise ValueError("epochs, batch_size and m must be >= 1")
+        if self.regularizer == "rank" and self.triplet_count < 1:
+            raise ValueError("rank regularizer needs triplet_count >= 1")
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        _check_widths(self.hidden)
 
 
 def read_text(path) -> str:

@@ -21,30 +21,9 @@ weights into row gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .formats import Record
-
-EUCLIDEAN = "euclidean"
-SQUARED_EUCLIDEAN = "squared-euclidean"
-HUBER = "huber"
-_KINDS = (EUCLIDEAN, SQUARED_EUCLIDEAN, HUBER)
-
-
-@dataclass(frozen=True)
-class DistanceSpec(Record):
-    kind: str = EUCLIDEAN
-    delta: float = 0.1  # Huber parameter, embedding-space units
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown distance kind '{self.kind}'")
-        if not np.isfinite(self.delta):
-            raise ValueError(f"distance delta must be finite, got {self.delta}")
-        if self.kind == HUBER and not self.delta > 0:
-            raise ValueError("huber distance needs delta > 0")
+from .formats import EUCLIDEAN, SQUARED_EUCLIDEAN, DistanceSpec
 
 
 def dist_from_sqnorm(spec: DistanceSpec, sq):
@@ -78,7 +57,9 @@ def grad_weight_from_sqnorm(spec: DistanceSpec, sq):
     return 1.0 / np.sqrt(sq + spec.delta * spec.delta)
 
 
-BUDGET = 1 << 20  # bytes of one block of pair differences in pair_sqnorms
+# bytes of one block: of pair differences in pair_sqnorms, and of (rows, K)
+# floats in model.leaf_posterior
+BUDGET = 1 << 20
 TAU = 2.0 ** -40  # relative accuracy of every pairwise_sqnorms entry
 
 

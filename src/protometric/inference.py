@@ -24,10 +24,8 @@ import numpy as np
 # every call.
 from . import geometry, model, taxonomy
 from .distortion import PrototypeSet
-from .geometry import DistanceSpec
+from .formats import SCHEMES, DistanceSpec
 from .taxonomy import FiniteMetric, Taxonomy
-
-SCHEMES = ("max-prob", "min-ec", "any-node")
 
 
 def _embedding(e, m: int, what: str, against: str) -> np.ndarray:

@@ -17,17 +17,14 @@ import numpy as np
 from . import geometry
 from .data import Dataset
 from .distortion import PrototypeSet, disto_loss, fit_prototypes, rank_loss, sample_triplets
-from .formats import Record, csv_text, json_text, parse_json, read_text, write_text
-from .geometry import (DistanceSpec, dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract,
-                       pairwise_sqnorms)
-from .optim import OptimizerSpec, TrainingDivergedError, make_optimizer
+from .formats import (DistanceSpec, Record, TrainConfig, _check_widths, csv_text, json_text,
+                      parse_json, read_text, write_text)
+from .geometry import dist_from_sqnorm, grad_weight_from_sqnorm, pair_contract, pairwise_sqnorms
+from .optim import TrainingDivergedError, make_optimizer
 from .taxonomy import FiniteMetric, Taxonomy, cost_matrix
 
 ARCHITECTURES = ("identity", "linear", "mlp")
 ACTIVATIONS = ("relu", "tanh")
-REGULARIZERS = ("disto", "disto-fixed-scale", "rank", "none")
-HEADS = ("prototypes", "cross-entropy", "soft-labels")
-SCHEDULES = ("joint", "fixed-proto")
 
 CHECKPOINT_VERSION = 1
 BLOCK_ROWS = 4096  # most feature rows one forward pass holds
@@ -62,12 +59,6 @@ class EmbeddingModel(Record):
 
     def param_count(self) -> int:
         return sum(din * dout + dout for din, dout in self.layer_dims())
-
-
-def _check_widths(hidden) -> None:
-    for width in hidden:
-        if width < 1:
-            raise ValueError(f"hidden layer width {width} must be >= 1")
 
 
 def _validate_model(model: EmbeddingModel) -> None:
@@ -277,51 +268,6 @@ def soft_label_targets(metric: FiniteMetric, z: int, beta: float) -> np.ndarray:
     if not beta > 0:
         raise ValueError("beta must be positive")
     return softmax(-beta * metric.costs[None, :, z])[0]
-
-
-@dataclass(frozen=True)
-class TrainConfig(Record):
-    """Hyper-parameters for one training run.
-
-    `lam` is the regularization strength (serialized as "lambda"); `beta`
-    is the soft-labels sharpness (targets use exp(-beta * cost), i.e. a
-    temperature of 1/beta). Architecture fields describe the embedding
-    model built by `train`.
-    """
-
-    lam: float = field(default=1.0, metadata={"key": "lambda"})
-    regularizer: str = "disto"
-    head: str = "prototypes"
-    beta: float = 10.0
-    distance: DistanceSpec = DistanceSpec()
-    m: int = 64
-    include_internal_prototypes: bool = False
-    schedule: str = "joint"
-    optimizer: OptimizerSpec = OptimizerSpec()
-    epochs: int = 50
-    batch_size: int = 32
-    triplet_count: int = 10
-    architecture: str = "mlp"
-    hidden: tuple[int, ...] = (32, 32)
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"lambda must be nonnegative and finite, got {self.lam}")
-        if self.regularizer not in REGULARIZERS:
-            raise ValueError(f"unknown regularizer '{self.regularizer}'")
-        if self.head not in HEADS:
-            raise ValueError(f"unknown head '{self.head}'")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule '{self.schedule}'")
-        if not 0 < self.beta < np.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if self.epochs < 1 or self.batch_size < 1 or self.m < 1:
-            raise ValueError("epochs, batch_size and m must be >= 1")
-        if self.regularizer == "rank" and self.triplet_count < 1:
-            raise ValueError("rank regularizer needs triplet_count >= 1")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        _check_widths(self.hidden)
 
 
 @dataclass(frozen=True)

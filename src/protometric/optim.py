@@ -2,34 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .formats import Record
-
-
-@dataclass(frozen=True)
-class OptimizerSpec(Record):
-    kind: str = "adam"  # "adam" | "sgd"
-    lr: float = 1e-3
-    momentum: float = 0.0   # sgd only
-    beta1: float = 0.9      # adam only
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.kind not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer '{self.kind}'")
-        if not 0 < self.lr < np.inf:
-            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
-        if not 0 <= self.momentum < np.inf:
-            raise ValueError(f"momentum must be nonnegative and finite, got {self.momentum}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+from .formats import OptimizerSpec
 
 
 class TrainingDivergedError(FloatingPointError):

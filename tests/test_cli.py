@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import protometric as pm
-from protometric import cli, geometry, inference
+from protometric import cli, formats, geometry, inference
 from protometric.cli import RunConfig, main
-from protometric.model import HEADS, REGULARIZERS, head_logits
+from protometric.model import head_logits
 
 from conftest import TOY_EDGE_LIST
 
@@ -363,6 +363,17 @@ class TestCmdTrain:
         code, err = run_process("train", config)
         assert code == 2 and len(err) == 1, err
         assert err[0].startswith("error: ") and field in err[0]
+
+    def test_a_library_warning_is_one_stderr_line(self, tmp_path, four_leaf_file):
+        # a class with one row goes to the train split, with a warning
+        lines = open(synth_csv(tmp_path, four_leaf_file, per_class=6)).read().splitlines()
+        b2 = [l for l in lines if l.endswith(",b2")]
+        data = tmp_path / "one_b2.csv"
+        data.write_text("\n".join(l for l in lines if l not in b2[1:]) + "\n")
+        config = write_config(tmp_path, four_leaf_file, str(data), str(tmp_path / "run"),
+                              train={"epochs": 2})
+        assert run_process("train", config) == (0, [
+            "warning: class 'b2' has fewer than 2 samples; assigning it to the train split"])
 
     def test_missing_dataset_exits_2(self, tmp_path, capsys, four_leaf_file):
         absent = str(tmp_path / "absent.csv")
@@ -819,6 +830,25 @@ def test_importing_formats_loads_no_numpy():
     assert done.stdout.strip() == "False"
 
 
+def test_the_run_config_records_load_no_numpy():
+    # `import protometric.cli` loads the records, and numpy must wait for --threads
+    train = pm.TrainConfig(distance=pm.DistanceSpec("huber", 0.2), hidden=(4,),
+                           optimizer=pm.OptimizerSpec("sgd", lr=0.1, momentum=0.9))
+    full = RunConfig(taxonomy_path="t.tsv", dataset_path="d.csv", train=train,
+                     scheme="min-ec", seeds=(1, 2)).to_dict()
+    code = ("import json, sys\n"
+            "import protometric as pm\n"
+            "from protometric.cli import RunConfig\n"
+            "pm.TrainConfig(), pm.DistanceSpec(), pm.OptimizerSpec()\n"
+            f"full = json.loads({json.dumps(full)!r})\n"
+            "assert RunConfig.from_dict(full).to_dict() == full\n"
+            "print('numpy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(pm.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
+
+
 def test_only_formats_opens_files():
     # one reader and one writer: every other module goes through them
     package = os.path.dirname(pm.__file__)
@@ -856,6 +886,28 @@ def test_records_load_no_module_the_command_does_not_run(tmp_path, toy_tax_file)
     assert json.loads(done.stdout.splitlines()[-1]) == [[], []]
 
 
+def test_a_data_file_whose_name_holds_a_newline_is_read_as_a_file(tmp_path, four_leaf_file):
+    # a path on the command line or in a run config is never CSV text
+    plain = synth_csv(tmp_path, four_leaf_file, per_class=6)
+    data = tmp_path / "we\nird.csv"
+    data.write_text(open(plain).read())
+    out = tmp_path / "run"
+    config = write_config(tmp_path, four_leaf_file, str(data), str(out), train={"epochs": 2})
+    assert main(["train", config]) == 0
+    ckpt = str(out / "checkpoint_seed0.json")
+    features = [tmp_path / "features.csv", tmp_path / "fea\ntures.csv"]
+    for path in features:
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                for line in open(plain).read().splitlines()))
+    outs = []
+    for data_path, features_path in zip((plain, str(data)), features):
+        run = tmp_path / f"out{len(outs)}"
+        assert main(["eval", ckpt, data_path, four_leaf_file, "--out", str(run)]) == 0
+        assert main(["infer", ckpt, str(features_path), "--out", str(run / "p.csv")]) == 0
+        outs.append([(run / name).read_bytes() for name in ("eval.json", "p.csv")])
+    assert outs[1] == outs[0]
+
+
 def test_output_root_env(tmp_path, monkeypatch, toy_tax_file):
     monkeypatch.setenv("PROTOMETRIC_OUTPUT_ROOT", str(tmp_path / "root"))
     monkeypatch.chdir(tmp_path)
@@ -871,17 +923,18 @@ def test_output_root_env(tmp_path, monkeypatch, toy_tax_file):
 
 
 def test_parser_spells_out_the_library_choices():
-    # the parser runs before numpy loads, so it repeats these as literals
+    # the parser takes the records' name lists from `formats`, which loads no numpy
     sub = next(action for action in cli._build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
 
     def option(command, dest):
         return next(a for a in sub.choices[command]._actions if a.dest == dest)
 
-    assert tuple(option("train", "regularizer").choices) == REGULARIZERS
-    assert tuple(option("train", "head").choices) == HEADS
-    assert tuple(option("embed", "distance").choices) == geometry._KINDS
-    assert cli.SCHEMES == inference.SCHEMES
+    assert option("train", "regularizer").choices is formats.REGULARIZERS
+    assert option("train", "head").choices is formats.HEADS
+    assert option("embed", "distance").choices is formats.DISTANCE_KINDS
+    for command in ("train", "eval", "infer"):
+        assert option(command, "scheme").choices is inference.SCHEMES
     fit = inspect.signature(pm.fit_prototypes).parameters
     for name in ("steps", "lr", "triplets"):
         assert option("embed", name).default == fit[name].default, name

@@ -508,8 +508,12 @@ class TestFitPrototypes:
 
     def test_rejects_a_start_of_the_wrong_size(self):
         metric = pm.cost_matrix(self.TREE)
-        with pytest.raises(ValueError, match="does not match metric size"):
+        message = f"prototype count 3 does not match metric size {metric.size}"
+        with pytest.raises(ValueError, match=message):
             pm.fit_prototypes(metric, EUC, "disto", None, np.ones((3, 2)), 5, 0.05)
+        pi = PrototypeSet(np.ones((3, 2)), (0, 1, 2))
+        with pytest.raises(ValueError, match=message):
+            pm.rank_loss(pi, metric, EUC, pm.sample_triplets(3, 4, np.random.default_rng(0)))
 
 
 class TestSampleTriplets:
